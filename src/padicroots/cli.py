@@ -28,7 +28,7 @@ from .representation import (
     derived_epsilon_set,
     j_no_solution_table,
 )
-from .roots import LiftContradictionError, solve
+from .roots import LiftContradictionError, decide, solve
 
 PRECISION_CAP = 10_000
 
@@ -103,6 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def _emit(args, plain_lines, payload) -> str:
     if args.format == "structured":
         return json.dumps(payload, indent=2)
@@ -145,7 +148,7 @@ def cmd_check(args) -> str:
     if args.q < 2:
         raise ValueError("exponent q must be at least 2")
     a = _parse_target(args, int_valuation(args.q, args.p))
-    verdict, _ = solve(a, args.q, args.precision)
+    verdict = decide(a, args.q)
     lines = [
         f"equation: x^{args.q} = {args.val} in Q_{args.p}",
         f"value: {a}",
@@ -382,7 +385,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         out = _DISPATCH[args.command](args)
     except LiftContradictionError as e:

@@ -223,15 +223,16 @@ def power_residue_solve(n: int, a: int, m: int) -> CongruenceSolution:
 
 
 def is_qth_residue(a0: int, q: int, p: int) -> bool:
-    """Whether a0 in [1, p-1] is a q-th power residue mod the prime p."""
+    """Whether a0 in [1, p-1] is a q-th power residue mod the prime p, by
+    Euler's criterion a0^((p-1)/gcd(q, p-1)) = 1 (mod p): one modular
+    power, no discrete log."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not 1 <= a0 <= p - 1:
         raise ValueError(f"digit {a0} out of range for p={p}")
-    if p == 2:
-        # only unit digit is 1 = 1^q
-        return any(pow(x, q, 2) == a0 for x in (1,))
-    return power_residue_solve(q, a0, p).solvable
+    if q < 1:
+        raise ValueError("exponent must be at least 1")
+    return pow(a0, (p - 1) // math.gcd(q, p - 1), p) == 1
 
 
 def mod_pow(b: int, e: int, m: int) -> int:

@@ -297,7 +297,7 @@ def parse_value(text: str, p: int, precision: int) -> PAdic:
     `n` or `n/d`        rational literal, expanded to `precision` digits
     `g;d0,d1,...`       explicit valuation and digit list; digits must lie
                         in [0, p-1] and d0 must be nonzero.  The finite sum
-                        is taken exactly and re-expanded to `precision`.
+                        is the unit part, reduced to `precision` digits.
     """
     t = text.strip()
     if ";" in t:
@@ -314,10 +314,9 @@ def parse_value(text: str, p: int, precision: int) -> PAdic:
                 raise ValueError(f"digit {d} out of range for p={p}")
         if digs[0] == 0:
             raise ValueError("first digit must be nonzero (canonical form)")
+        # d0 != 0 makes the digit sum a unit, so gamma is the valuation
         value = sum(d * p**i for i, d in enumerate(digs))
-        if gamma >= 0:
-            return PAdic.from_rational(value * p**gamma, 1, p, precision)
-        return PAdic.from_rational(value, p ** (-gamma), p, precision)
+        return PAdic.from_unit(p, gamma, value, precision)
     num, slash, den = t.partition("/")
     try:
         n = int(num)

@@ -26,14 +26,7 @@ from dataclasses import dataclass
 
 from .congruence import is_prime, is_qth_residue, find_primitive_root
 from .padic_core import PAdic, PrecisionError
-from .roots import (
-    LiftContradictionError,
-    check_coprime,
-    check_qp,
-    check_square,
-    lift_roots,
-    _qp_digit_condition,
-)
+from .roots import LiftContradictionError, decide, lift_roots, _qp_digit_condition
 
 FORM_QP = "q_equals_p"
 FORM_PLAIN = "coprime_plain"
@@ -69,8 +62,7 @@ def find_nonresidue_unit(p: int, q: int, precision: int = 16) -> PAdic:
         )
     r = find_primitive_root(p)
     eta = PAdic.from_int(r, p, precision)
-    verdict = check_square(eta) if q == 2 else check_coprime(eta, q)
-    if verdict.solvable:
+    if decide(eta, q).solvable:
         raise LiftContradictionError(
             f"primitive root {r} mod {p} tested as a {q}-th power"
         )
@@ -87,8 +79,7 @@ def verify_c1(p: int, q: int) -> bool:
             if i == 0 and j == 0:
                 continue
             val = eta.pow_nat(j).shift(i) if j else PAdic.one(p, 8).shift(i)
-            verdict = check_square(val) if q == 2 else check_coprime(val, q)
-            if verdict.solvable:
+            if decide(val, q).solvable:
                 return False
     return True
 
@@ -187,24 +178,23 @@ def j_no_solution_table(p_max: int) -> dict[int, tuple[int, ...]]:
     that i^p = i + j*p (mod p^2) has no solution i in [1, p-1]."""
     if p_max > 10_000:
         raise ValueError("table bound capped at 10000")
-    table: dict[int, tuple[int, ...]] = {}
-    for p in range(3, p_max + 1):
-        if not is_prime(p):
-            continue
-        pp = p * p
-        solvable = set()
-        for i in range(1, p):
-            ip = pow(i, p, pp)
-            # i^p = i + j*p (mod p^2) pins j = (i^p - i)/p mod p
-            solvable.add(((ip - i) % pp) // p)
-        table[p] = tuple(j for j in range(p) if j not in solvable)
-    return table
+    return {p: _j_row(p) for p in range(3, p_max + 1) if is_prime(p)}
+
+
+def _j_row(p: int) -> tuple[int, ...]:
+    """The j_no_solution_table row of one odd prime p."""
+    pp = p * p
+    # i^p = i + j*p (mod p^2) pins j = (i^p - i)/p mod p
+    solvable = {((pow(i, p, pp) - i) % pp) // p for i in range(1, p)}
+    return tuple(j for j in range(p) if j not in solvable)
 
 
 def derived_epsilon_set(p: int) -> tuple[int, ...]:
     """{1} plus every i + j*p with j drawn from the no-solution table:
     the epsilon classes forced purely by the second digit."""
-    js = j_no_solution_table(p).get(p, ())
+    if p > 10_000:
+        raise ValueError("table bound capped at 10000")
+    js = _j_row(p) if p >= 3 and is_prime(p) else ()
     out = {1}
     for j in js:
         for i in range(1, p):

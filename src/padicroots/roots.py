@@ -1,7 +1,8 @@
-"""Solvability verdicts and digit-by-digit root extraction for x^q = a
-over the p-adic numbers.
+"""Solvability verdicts and Newton root lifting for x^q = a over the
+p-adic numbers.
 
-The decision logic splits by the shape of q relative to p:
+decide(a, q) is the one verdict entry point.  It splits by the shape of q
+relative to p, and the first three cases are the paper's digit criteria:
 
   square        q = 2.  For odd p: the valuation must be even and the first
                 digit a quadratic residue mod p.  For p = 2: the valuation
@@ -15,25 +16,28 @@ The decision logic splits by the shape of q relative to p:
                 digit condition d0**p = d0 + d1*p (mod p**2) must hold;
                 necessity also forces the root's first digit to equal d0.
                 Deliberately not used at p = 2, where it would wrongly
-                accept values such as 5; iterated square steps are used
+                accept values such as 5; the square criterion is used
                 instead.
-  general_chain q = m * p**s with s >= 1 and q not in the cases above.
-                Writing y = x**(p**s) reduces to y**m = a followed by s
-                successive p-th root links.  Every branch at every link is
-                explored, so solvable chains cannot be lost to an unlucky
-                branch choice; the verdict reports the first link at which
-                all live branches die.
+  general_chain q = m * p**c with c >= 1 and q not in the cases above.
+                Writing y = x**(p**c) reduces to y**m = a followed by c
+                successive p-th root links.  Z_p^* = mu_(p-1) x (1 + pZ_p)
+                decides every link in closed form from a = p**gamma * u:
+                link i needs gamma / (m * p**(i-1)) divisible by p and
+                u**(p-1) = 1 (mod p**(i+1)) for odd p, or u = 1
+                (mod 2**(i+2)) for p = 2.  For i = 1 and m = 1 these are
+                the q_equals_p and square digit conditions.  The verdict
+                reports the first link that fails.
 
-Verdicts are always computed from the digit criteria before any lifting.
-If the criteria say solvable and the lift then starves, the two halves of
-the theory disagree, which is a fatal internal error raised as
-LiftContradictionError (never swallowed).
+lift_roots then lifts one seed per root by Newton iteration; solve is
+decide followed by lift_roots.  If the criteria say solvable and the lift
+then fails, the two halves of the theory disagree, which is a fatal
+internal error raised as LiftContradictionError (never swallowed).
 """
 
 import math
 from dataclasses import dataclass
 
-from .congruence import int_valuation, is_qth_residue
+from .congruence import int_valuation, is_qth_residue, power_residue_solve
 from .padic_core import PAdic, PrecisionError
 
 CASE_SQUARE = "square"
@@ -173,16 +177,93 @@ def check_qp(a: PAdic) -> Verdict:
     )
 
 
-def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
-    """Construct every root of x^q = a to n_digits unit digits by
-    breadth-first digit search.
+def _power_depth(p: int, c: int) -> int:
+    """Digits of a unit u that decide whether it is a p**c-th power
+    (c >= 1): it is one exactly when u**(p-1) = 1 (mod p**(c+1)) for odd
+    p, or u = 1 (mod 2**(c+2)) for p = 2."""
+    return c + 2 if p == 2 else c + 1
 
-    Residues r mod p**k are kept exactly when r^q matches the unit part of
-    a modulo p**(k+c), where c = v_p(q) is the valuation of the derivative
-    factor q * r**(q-1); all p extensions of every live residue are tried
-    at each position.  Callers must have established a solvable verdict
-    first: an empty branch set at any depth means the criteria and the
-    lifting disagree and raises LiftContradictionError.
+
+def decide(a: PAdic, q: int) -> Verdict:
+    """Decide x^q = a without constructing any root.
+
+    q = 2, gcd(q, p) = 1 and q = p (odd p) are the paper's digit criteria
+    check_square, check_coprime and check_qp.  Any other q = m * p**c
+    with c >= 1 is a chain of links, decided in closed form from
+    a = p**gamma * u: link 1, present when m > 1, is the check for
+    x^m = a; p-th root link i (i = 1..c) then needs gamma / (m * p**(i-1))
+    divisible by p and u**(p-1) = 1 (mod p**(i+1)) for odd p, or
+    u = 1 (mod 2**(i+2)) for p = 2.  A failure reports its link as
+    chain_step k and names the failing quantity in details.
+    """
+    _require_nonzero(a)
+    if q < 2:
+        raise ValueError("exponent must be at least 2")
+    p = a.p
+    c = int_valuation(q, p)
+    if q == 2:
+        return check_square(a)
+    if c == 0:
+        return check_coprime(a, q)
+    if q == p:
+        return check_qp(a)
+    m = q // p**c
+    need = _power_depth(p, c)
+    if a.precision < need:
+        raise PrecisionError(
+            f"deciding x^{q} over the {p}-adics needs the value known to "
+            f"{need} digits, have {a.precision}"
+        )
+    step = 0
+    if m > 1:
+        step = 1
+        first = check_square(a) if m == 2 else check_coprime(a, m)
+        if not first.solvable:
+            return Verdict(
+                False, CASE_CHAIN, "chain_step 1", f"x^{m} link: {first.details}"
+            )
+    for i in range(1, c + 1):
+        step += 1
+        g = a.gamma // (m * p ** (i - 1))
+        k = _power_depth(p, i)
+        r = pow(a.unit, p - 1, p**k)  # u itself when p = 2
+        if g % p != 0:
+            witness = f"valuation {g} is not divisible by {p}"
+        elif r != 1:
+            power = "u" if p == 2 else f"u^{p - 1}"
+            witness = f"{power} = {r} (mod {p}^{k}), must be 1"
+        else:
+            continue
+        return Verdict(
+            False, CASE_CHAIN, f"chain_step {step}", f"x^{p} link: {witness}"
+        )
+    return Verdict(True, CASE_CHAIN, None, f"all {step} links solvable")
+
+
+# Each Newton step at least about doubles the digits known, so this many
+# steps cover any precision that fits in memory.
+_NEWTON_STEPS = 64
+
+
+def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
+    """Every root of x^q = a to n_digits unit digits: one seed per root,
+    each lifted by Newton iteration.
+
+    Write a = p**gamma * u and q = m * p**c with p not dividing m.  Every
+    root is p**(gamma/q) times a unit root of x^q = u, and by
+    Z_p^* = mu_(p-1) x (1 + pZ_p) the unit roots are told apart by one
+    seed each: for odd p the m-th roots of d0 = u mod p (just d0 when
+    m = 1), for p = 2 the pair 1, -1 when q is even and u mod 4 when q is
+    odd.  A seed must satisfy x^q = u (mod p**(c+1)), or mod 2**(c+2) at
+    p = 2; then x <- x - (x^q - u)/(q*x^(q-1)) (mod p**n_digits) runs
+    until x^q = u (mod p**(n_digits+c)).  The roots are the distinct
+    residues reached, sorted, and each is checked against a before any is
+    returned.
+
+    Callers must have established a solvable verdict first (see decide):
+    a missing or failing seed, or a Newton loop that does not settle,
+    means the criteria and the lifting disagree and raises
+    LiftContradictionError.
     """
     _require_nonzero(a)
     if q < 2:
@@ -200,32 +281,39 @@ def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
             f"lifting {n_digits} digits needs the target known to "
             f"{n_digits + c} digits, have {a.precision}"
         )
-    g = a.gamma // q
-    target = a.unit
-    frontier = [
-        r for r in range(1, p) if pow(r, q, p ** (1 + c)) == target % p ** (1 + c)
-    ]
-    if not frontier:
+    m = q // p**c
+    if p == 2:
+        seeds = (1, -1) if q % 2 == 0 else (a.unit % 4,)
+    elif m == 1:
+        seeds = (a.unit % p,)
+    else:
+        seeds = power_residue_solve(m, a.unit % p, p).representatives
+    if not seeds:
         raise LiftContradictionError(
-            "no starting digit satisfies the congruence; criteria and lifting disagree"
+            f"{a.unit % p} has no {m}-th root mod {p}; criteria and lifting disagree"
         )
-    for k in range(1, n_digits):
-        mod = p ** (k + 1 + c)
-        step = p**k
-        t = target % mod
-        frontier = [
-            r + d * step
-            for r in frontier
-            for d in range(p)
-            if pow(r + d * step, q, mod) == t
-        ]
-        if not frontier:
+    seed_mod = p ** min(_power_depth(p, c), a.precision)
+    mod, target_mod = p**n_digits, p ** (n_digits + c)
+    u = a.unit % target_mod
+    units = set()
+    for x in seeds:
+        if pow(x, q, seed_mod) != a.unit % seed_mod:
             raise LiftContradictionError(
-                f"branch set died at digit {k}; criteria and lifting disagree"
+                f"seed {x} fails x^{q} = {a.unit % seed_mod} (mod {seed_mod}); "
+                "criteria and lifting disagree"
             )
-    roots = tuple(
-        PAdic.from_unit(p, g, r, n_digits) for r in sorted(frontier)
-    )
+        for _ in range(_NEWTON_STEPS):
+            f = (pow(x, q, target_mod) - u) % target_mod
+            if f == 0:
+                break
+            x = (x - f // p**c * pow(m * pow(x, q - 1, mod), -1, mod)) % mod
+        else:
+            raise LiftContradictionError(
+                f"Newton lift of x^{q} = a did not settle in {_NEWTON_STEPS} steps"
+            )
+        units.add(x % mod)
+    g = a.gamma // q
+    roots = tuple(PAdic.from_unit(p, g, r, n_digits) for r in sorted(units))
     # self-check every root before handing it out
     verify_k = a.gamma + min(a.precision, n_digits + c)
     for r in roots:
@@ -239,127 +327,23 @@ def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
     return RootSet(roots, expected)
 
 
-def root_count(p: int, q: int) -> int | None:
-    """Number of roots of x^q = a for solvable unit input with gcd(q,p)=1:
-    gcd(q, p-1).  Returns None otherwise (no count is claimed when p
-    divides q)."""
-    if math.gcd(q, p) != 1:
-        return None
-    return math.gcd(q, p - 1)
-
-
-def _dedupe(values: list[PAdic]) -> list[PAdic]:
-    seen = set()
-    out = []
-    for v in values:
-        key = (v.gamma, v.unit, v.precision)
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
-
-
-def _check_for_exponent(v: PAdic, m: int) -> Verdict:
-    if m == 2:
-        return check_square(v)
-    return check_coprime(v, m)
-
-
-def _solve_chain(a: PAdic, q: int, m: int, s: int, n_digits: int):
-    p = a.p
-    # Per-link digit budget, filled from the back.  Each p-th root link
-    # consumes one digit of precision and its check reads check_need
-    # digits, so the entry requirement can exceed n_digits + s when
-    # n_digits is tiny (deciding x^4 = a over the 2-adics reads four
-    # digits of a no matter how few root digits were asked for).
-    check_need = 3 if p == 2 else 2
-    outs = [0] * (s + 1)
-    outs[s] = n_digits
-    for j in range(s - 1, 0, -1):
-        outs[j] = max(check_need, outs[j + 1] + 1)
-    entry = max(check_need, outs[1] + 1)
-    if a.precision < entry:
-        raise PrecisionError(
-            f"deciding x^{q} over the {p}-adics needs the value known to "
-            f"{entry} digits, have {a.precision}"
-        )
-    step = 0
-    values = [a]
-    if m > 1:
-        step += 1
-        verdicts = [_check_for_exponent(v, m) for v in values]
-        live = [v for v, vd in zip(values, verdicts) if vd.solvable]
-        if not live:
-            first = verdicts[0]
-            return (
-                Verdict(
-                    False,
-                    CASE_CHAIN,
-                    f"chain_step {step}",
-                    f"x^{m} link: {first.details}",
-                ),
-                None,
-            )
-        values = _dedupe(
-            [r for v in live for r in lift_roots(v, m, entry).roots]
-        )
-    for i in range(1, s + 1):
-        step += 1
-        checker = check_square if p == 2 else check_qp
-        verdicts = [checker(v) for v in values]
-        live = [v for v, vd in zip(values, verdicts) if vd.solvable]
-        if not live:
-            first = verdicts[0]
-            return (
-                Verdict(
-                    False,
-                    CASE_CHAIN,
-                    f"chain_step {step}",
-                    f"x^{p} link, all {len(values)} branch(es) fail: {first.details}",
-                ),
-                None,
-            )
-        values = _dedupe(
-            [r for v in live for r in lift_roots(v, p, outs[i]).roots]
-        )
-    roots = sorted(values, key=lambda r: (r.gamma, r.unit))
-    verify_k = a.gamma + min(a.precision, n_digits + int_valuation(q, p))
-    for r in roots:
-        if not r.pow_nat(q).eq_mod(a, verify_k):
-            raise LiftContradictionError(
-                f"chain produced {r} failing r^{q} = a mod p^{verify_k}"
-            )
-    return (
-        Verdict(True, CASE_CHAIN, None, f"all {step} links solvable"),
-        RootSet(tuple(roots), None),
-    )
-
-
 def solve(a: PAdic, q: int, n_digits: int):
     """Decide x^q = a and, when solvable, construct all roots to n_digits
     unit digits.  Returns (Verdict, RootSet or None).
 
-    The target must be known to n_digits + v_p(q) digits; the extra v_p(q)
-    digits feed the per-link precision loss of the p-th root steps.
+    The target must be known to n_digits + v_p(q) digits: the lift reads
+    v_p(q) digits beyond those of the roots.
     """
     _require_nonzero(a)
     if q < 2:
         raise ValueError("exponent must be at least 2")
-    p = a.p
-    s = int_valuation(q, p)
-    if a.precision < n_digits + s:
+    c = int_valuation(q, a.p)
+    if a.precision < n_digits + c:
         raise PrecisionError(
             f"solving to {n_digits} digits needs the value known to "
-            f"{n_digits + s} digits, have {a.precision}"
+            f"{n_digits + c} digits, have {a.precision}"
         )
-    if q == 2:
-        verdict = check_square(a)
-    elif s == 0:
-        verdict = check_coprime(a, q)
-    elif q == p:
-        verdict = check_qp(a)
-    else:
-        return _solve_chain(a, q, q // p**s, s, n_digits)
+    verdict = decide(a, q)
     if not verdict.solvable:
         return verdict, None
     return verdict, lift_roots(a, q, n_digits)

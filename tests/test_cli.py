@@ -260,12 +260,12 @@ def test_error_unknown_subcommand_exits_2():
 # process-level checks through a real interpreter
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "padicroots", *argv],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -280,3 +280,14 @@ def test_process_console_script_equivalence():
     a = run_process("table", "--p-max", "13")
     assert a.returncode == 0
     assert a.stdout == TABLE_13
+
+
+def test_process_digit_literal_with_huge_valuation_answers():
+    # a valuation near 10^6 is kept as it is, never expanded as p^|g|
+    done = run_process(
+        "check", "--p", "1000003", "--q", "1000003", "--val=-1000003;5,1,2",
+        "--precision", "5", timeout=20,
+    )
+    assert done.returncode == 0
+    assert "value: -1000003;5,1,2,0,0,0" in done.stdout
+    assert "case: q_equals_p" in done.stdout

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+import padicroots.roots
 from padicroots import (
     LiftContradictionError,
     PAdic,
@@ -22,10 +23,11 @@ from padicroots import (
     check_coprime,
     check_qp,
     check_square,
+    decide,
     lift_roots,
-    root_count,
     solve,
 )
+from padicroots.cli import main as cli_main
 
 
 def unit_value(p: int, gamma: int, unit: int, precision: int) -> PAdic:
@@ -298,11 +300,111 @@ def test_solve_verdict_shape_invariants():
             assert rs is None and verdict.failed_condition
 
 
-def test_root_count_pinned():
-    assert root_count(7, 3) == 3
-    assert root_count(5, 3) == 1
-    assert root_count(7, 5) == 1
-    assert root_count(5, 10) is None
+def test_decide_chain_names_witness():
+    v = decide(PAdic.from_int(6, 5, 4), 10)  # 6^4 = 21 (mod 25)
+    assert v.failed_condition == "chain_step 2"
+    assert v.details == "x^5 link: u^4 = 21 (mod 5^2), must be 1"
+    v = decide(PAdic.from_int(17, 2, 8), 8)
+    assert v.failed_condition == "chain_step 3"
+    assert v.details == "x^2 link: u = 17 (mod 2^5), must be 1"
+    v = decide(PAdic.from_unit(3, 6, 1, 4), 9)
+    assert v.failed_condition == "chain_step 2"
+    assert v.details == "x^3 link: valuation 2 is not divisible by 3"
+
+
+def test_check_never_lifts(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check must not lift roots")
+
+    monkeypatch.setattr(padicroots.roots, "lift_roots", refuse)
+    assert cli_main(["check", "--p", "3", "--q", "6", "--val", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: solvable" in out and "general_chain" in out
+
+
+# ---------------------------------------------------------------------------
+# cross-checks against the brute-force oracles
+
+
+def chain_exponents(p: int, q: int) -> list[int]:
+    """Exponent reached after each link of the chain for q = m * p^c: m
+    (when m > 1), then m*p, m*p^2, ..., q."""
+    c = bf.int_valuation(q, p)
+    m = q // p**c
+    return ([m] if m > 1 else []) + [m * p**i for i in range(1, c + 1)]
+
+
+def test_lift_matches_digit_search_on_solvable_targets():
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7):
+        for q in range(2, 13):
+            c = bf.int_valuation(q, p)
+            for n in range(1, 6):
+                for _ in range(3):
+                    r = rng.randrange(1, p ** (n + c))
+                    r += r % p == 0
+                    u = pow(r, q, p ** (n + c))
+                    g = q * rng.randrange(-2, 3)
+                    rs = lift_roots(PAdic.from_unit(p, g, u, n + c), q, n)
+                    want = bf.digit_bfs_roots(p, q, u, n, c)
+                    assert [x.unit for x in rs.roots] == want, (p, q, n, u)
+                    assert all(x.gamma == g // q for x in rs.roots)
+
+
+def test_chain_step_is_first_failing_link():
+    rng = random.Random(32)
+    for p in (2, 3, 5):
+        for q in range(4, 28):
+            c = bf.int_valuation(q, p)
+            if c == 0 or q == p or q == 2:
+                continue
+            exps = chain_exponents(p, q)
+            prec = 2 * c + 2
+            for g in range(-4, 5):
+                for _ in range(6):
+                    r = rng.randrange(1, p**prec)
+                    r += r % p == 0
+                    # powers of r reach the deeper links, plain r the first
+                    u = pow(r, rng.choice(exps + [1]), p**prec)
+                    verdict, _ = solve(PAdic.from_unit(p, g, u, prec), q, 1)
+                    first = next(
+                        (
+                            k
+                            for k, e in enumerate(exps, 1)
+                            if g % e or not bf.unit_root_exists(u, e, p)
+                        ),
+                        None,
+                    )
+                    assert verdict.case_used == "general_chain"
+                    if first is None:
+                        assert verdict.solvable, (p, q, g, u)
+                    else:
+                        assert verdict.failed_condition == f"chain_step {first}", (
+                            p, q, g, u,
+                        )
+
+
+def test_solve_precision_need_is_exact():
+    rng = random.Random(33)
+    for p in (2, 3, 5):
+        for q in range(2, 13):
+            c = bf.int_valuation(q, p)
+            for n in range(1, 5):
+                for prec in range(1, n + c + 3):
+                    for g in (0, 1, q):
+                        u = rng.randrange(1, p**prec)
+                        u += u % p == 0
+                        a = PAdic.from_unit(p, g, u, prec)
+                        need = prec < n + c or (p == 2 and c >= 1 and prec < c + 2)
+                        if q == 2 and g % 2:
+                            # the square criterion rejects an odd valuation
+                            # before it reads a digit
+                            need = prec < n + c
+                        if need:
+                            with pytest.raises(PrecisionError):
+                                solve(a, q, n)
+                        else:
+                            solve(a, q, n)
 
 
 # ---------------------------------------------------------------------------
