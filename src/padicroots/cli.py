@@ -20,7 +20,7 @@ from .congruence import (
     power_residue_solve,
     solve_linear,
 )
-from .multinomial import compute_Nk, nk_terms
+from .multinomial import nk_terms
 from .padic_core import PAdic, parse_value
 from .representation import (
     classify_coprime,
@@ -262,18 +262,17 @@ def cmd_table(args) -> str:
         raise ValueError("--p-max must be at least 3")
     table = j_no_solution_table(args.p_max)
     lines = [f"p={p}: " + ", ".join(str(j) for j in js) for p, js in table.items()]
-    payload = {
-        "command": "table",
-        "p_max": args.p_max,
-        "rows": [
+    rows = []
+    if args.format == "structured":  # plain output never shows the epsilon sets
+        rows = [
             {
                 "p": p,
                 "j_no_solution": list(js),
                 "epsilon_derived": list(derived_epsilon_set(p)),
             }
             for p, js in table.items()
-        ],
-    }
+        ]
+    payload = {"command": "table", "p_max": args.p_max, "rows": rows}
     return _emit(args, lines, payload)
 
 
@@ -333,7 +332,8 @@ def cmd_expand(args) -> str:
             raise ValueError(f"digit {d} out of range for p={args.p}")
     padded = digits + [0] * max(0, args.k - len(digits) + 1)
     terms = nk_terms(args.q, args.k)
-    nk = compute_Nk(args.q, padded, args.k)
+    values = [t.evaluate(padded) for t in terms]
+    nk = sum(values)
     dk = padded[args.k] if args.k < len(padded) else 0
     lead = args.q * padded[0] ** (args.q - 1) * dk
     lines = [
@@ -343,8 +343,7 @@ def cmd_expand(args) -> str:
         f"N_{args.k} terms (m_0,...,m_{args.k - 1}):",
     ]
     term_payload = []
-    for t in terms:
-        val = t.evaluate(padded)
+    for t, val in zip(terms, values):
         lines.append(
             f"  ({','.join(str(m) for m in t.exponents)})  "
             f"coeff {t.coefficient}  value {val}"

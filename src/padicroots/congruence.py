@@ -1,13 +1,21 @@
 """Modular arithmetic helpers: totients, primitive roots, discrete logs,
 linear congruences and n-th power residues on cyclic unit groups.
 
-Everything here works on plain integers at desk scale (moduli up to a few
-million); algorithms are chosen for clarity plus exactness, not asymptotics.
+The unit group mod m is worked out once per modulus. `_unit_group(m)`
+factors m, finds phi(m) and the smallest generator g, and builds g's
+baby-step table for baby-step giant-step discrete logs;
+`find_primitive_root`, `index` and `power_residue_solve` all read that one
+record. A bounded `lru_cache` holds the records: a table has
+isqrt(phi(m)) + 1 entries, so an unbounded cache would keep one per modulus
+ever seen for the life of the process.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+# records kept by `_unit_group`; the cost of one is O(sqrt(phi(m))) memory
+_UNIT_GROUP_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=None)
@@ -59,45 +67,75 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+def _phi(fac: dict[int, int]) -> int:
+    return math.prod(p ** (k - 1) * (p - 1) for p, k in fac.items())
+
+
 def euler_phi(n: int) -> int:
     """Euler totient, multiplicative over the factorization."""
     if n < 1:
         raise ValueError("euler_phi expects a positive integer")
-    phi = 1
-    for p, k in factorize(n).items():
-        phi *= p ** (k - 1) * (p - 1)
-    return phi
+    return _phi(factorize(n))
 
 
-def _unit_group_is_cyclic(m: int) -> bool:
-    # cyclic unit groups: 1, 2, 4, p^k and 2p^k for odd primes p
-    if m in (1, 2, 4):
-        return True
+@dataclass(frozen=True)
+class _UnitGroup:
+    """The cyclic unit group mod m: its order phi, its smallest generator g,
+    the baby steps {g^j: j} for j < step and the giant step g^-step."""
+
+    m: int
+    phi: int
+    g: int
+    step: int
+    baby: dict[int, int]
+    giant: int
+
+    def log(self, a: int) -> int:
+        """The x in [0, phi) with g^x = a, for a unit a in [0, m)."""
+        cur = a
+        for i in range(self.step + 1):
+            j = self.baby.get(cur)
+            if j is not None:
+                return (i * self.step + j) % self.phi
+            cur = cur * self.giant % self.m
+        raise ValueError("index search exhausted the group")
+
+
+@lru_cache(maxsize=_UNIT_GROUP_CACHE_SIZE)
+def _unit_group(m: int) -> _UnitGroup | None:
+    """The unit group record mod m, or None when the units are not cyclic.
+
+    They are cyclic exactly for m = 2, 4, p^k and 2p^k with p an odd prime.
+    """
+    if m < 2:
+        raise ValueError("modulus must be at least 2")
     fac = factorize(m)
-    odd = {p: k for p, k in fac.items() if p != 2}
-    if len(odd) != 1:
-        return False
-    return fac.get(2, 0) <= 1
+    odd = [p for p in fac if p != 2]
+    if m not in (2, 4) and (len(odd) != 1 or fac.get(2, 0) > 1):
+        return None
+    phi = _phi(fac)
+    checks = [phi // f for f in factorize(phi)]
+    g = next(
+        r
+        for r in range(1, m)
+        if math.gcd(r, m) == 1 and all(pow(r, e, m) != 1 for e in checks)
+    )
+    step = math.isqrt(phi) + 1
+    baby: dict[int, int] = {}
+    cur = 1
+    for j in range(step):
+        baby.setdefault(cur, j)
+        cur = cur * g % m
+    return _UnitGroup(m, phi, g, step, baby, pow(g, -step, m))
 
 
-@lru_cache(maxsize=None)
 def find_primitive_root(m: int) -> int | None:
     """Smallest primitive root mod m, or None when the units are not cyclic.
 
     By convention the primitive root mod 2 is 1 (the unit group is trivial).
     """
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    if not _unit_group_is_cyclic(m):
-        return None
-    phi = euler_phi(m)
-    checks = [phi // f for f in factorize(phi)] if phi > 1 else []
-    for r in range(1, m + 1):
-        if math.gcd(r, m) != 1:
-            continue
-        if all(pow(r, e, m) != 1 for e in checks):
-            return r
-    return None  # not reached for cyclic m
+    group = _unit_group(m)
+    return None if group is None else group.g
 
 
 @dataclass(frozen=True)
@@ -109,54 +147,25 @@ class IndexValue:
     modulus_phi: int
 
 
-@lru_cache(maxsize=None)
-def _is_primitive_root(r: int, m: int) -> bool:
-    if math.gcd(r, m) != 1:
-        return False
-    phi = euler_phi(m)
-    if phi == 1:
-        return r % m == 1 % m
-    return all(pow(r, phi // f, m) != 1 for f in factorize(phi))
-
-
-_BSGS_THRESHOLD = 64
-
-
 def index(r: int, a: int, m: int) -> IndexValue:
     """Index (discrete log) of a base r mod m: the x in [0, phi(m)) with
-    r^x = a.  Uses baby-step giant-step, falling back to an exhaustive scan
-    for tiny groups.  index of 1 is 0.
+    r^x = a.  With g the cached generator, x = log_g(a) / log_g(r) mod
+    phi(m), and r is a primitive root exactly when log_g(r) is prime to
+    phi(m).  index of 1 is 0.
     """
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
+    group = _unit_group(m)
     a %= m
     r %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit mod {m}, no index exists")
-    if not _is_primitive_root(r, m):
+    if (
+        group is None
+        or math.gcd(r, m) != 1
+        or math.gcd(log_r := group.log(r), group.phi) != 1
+    ):
         raise ValueError(f"{r} is not a primitive root mod {m}")
-    phi = euler_phi(m)
-    if phi <= _BSGS_THRESHOLD:
-        x, cur = 0, 1 % m
-        while cur != a:
-            cur = cur * r % m
-            x += 1
-            if x >= phi:
-                raise ValueError("index search exhausted the group")
-        return IndexValue(r, x, phi)
-    step = math.isqrt(phi) + 1
-    baby = {}
-    cur = 1 % m
-    for j in range(step):
-        baby.setdefault(cur, j)
-        cur = cur * r % m
-    giant = pow(pow(r, -1, m), step, m)
-    cur = a
-    for i in range(step + 1):
-        if cur in baby:
-            return IndexValue(r, (i * step + baby[cur]) % phi, phi)
-        cur = cur * giant % m
-    raise ValueError("index search exhausted the group")
+    x = group.log(a) * pow(log_r, -1, group.phi) % group.phi
+    return IndexValue(r, x, group.phi)
 
 
 @dataclass(frozen=True)
@@ -200,25 +209,20 @@ def solve_linear(a: int, b: int, n: int) -> CongruenceSolution:
 def power_residue_solve(n: int, a: int, m: int) -> CongruenceSolution:
     """All solutions of x^n = a (mod m) for m with a cyclic unit group.
 
-    Writing a = r^t for a primitive root r, the congruence reduces to the
+    Writing a = g^t for the generator g, the congruence reduces to the
     linear one n*s = t (mod phi(m)); it is solvable iff gcd(n, phi(m))
-    divides the index of a, and then has exactly gcd(n, phi(m)) solutions.
+    divides t, and then has exactly gcd(n, phi(m)) solutions g^s.
     """
     if n < 1:
         raise ValueError("exponent must be at least 1")
-    r = find_primitive_root(m)
-    if r is None:
+    group = _unit_group(m)
+    if group is None:
         raise ValueError(f"unit group mod {m} is not cyclic")
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit mod {m}")
-    phi = euler_phi(m)
-    t = index(r, a, m).value
-    d = math.gcd(n, phi)
-    if t % d != 0:
-        return CongruenceSolution((), m)
-    exps = solve_linear(n, t, phi)
-    sols = sorted(pow(r, s, m) for s in exps.representatives)
+    exps = solve_linear(n, group.log(a), group.phi)
+    sols = sorted(pow(group.g, s, m) for s in exps.representatives)
     return CongruenceSolution(tuple(sols), m)
 
 
@@ -233,12 +237,3 @@ def is_qth_residue(a0: int, q: int, p: int) -> bool:
     if q < 1:
         raise ValueError("exponent must be at least 1")
     return pow(a0, (p - 1) // math.gcd(q, p - 1), p) == 1
-
-
-def mod_pow(b: int, e: int, m: int) -> int:
-    """b^e mod m via square and multiply (non-negative result)."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(b, e, m)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+import padicroots.congruence as congruence
 from padicroots import (
     CongruenceSolution,
     euler_phi,
@@ -21,7 +22,6 @@ from padicroots import (
     index,
     is_prime,
     is_qth_residue,
-    mod_pow,
     power_residue_solve,
     solve_linear,
 )
@@ -114,7 +114,7 @@ def test_index_value_range():
 
 
 def test_index_uses_giant_steps_above_threshold():
-    # moduli past the exhaustive threshold still give correct logs
+    # moduli whose logs take several giant steps still give correct logs
     for m in (101, 243, 686, 1458):
         r = find_primitive_root(m)
         for a in (2, 3, find_primitive_root(m)):
@@ -122,6 +122,28 @@ def test_index_uses_giant_steps_above_threshold():
                 continue
             iv = index(r, a, m)
             assert pow(r, iv.value, m) == a % m
+
+
+def test_group_structure_is_worked_out_once_per_modulus(monkeypatch):
+    calls = []
+    real = congruence.factorize
+
+    def counting_factorize(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(congruence, "factorize", counting_factorize)
+    m = 2 * 31**4  # no other test uses it, so nothing about it is cached yet
+    power_residue_solve(3, 3, m)
+    assert calls, "the first call must work out the group"
+    first = len(calls)
+    g = find_primitive_root(m)
+    for a in (3, 5, 11):
+        power_residue_solve(6, a, m)
+        index(g, a, m)
+        index(pow(g, 7, m), a, m)
+        find_primitive_root(m)
+    assert len(calls) == first
 
 
 @given(st.sampled_from([7, 9, 11, 13, 23, 27, 49, 101, 121]), st.data())
@@ -238,21 +260,7 @@ def test_is_qth_residue_matches_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# modular exponentiation
-
-
-def test_mod_pow_pinned():
-    assert mod_pow(3, 6, 7) == 1
-    assert mod_pow(2, 0, 97) == 1
-    assert mod_pow(5, 3, 1) == 0
-
-
-def test_mod_pow_euler_fermat():
-    for m in range(2, 400):
-        phi = euler_phi(m)
-        for a in range(1, m):
-            if math.gcd(a, m) == 1:
-                assert mod_pow(a, phi, m) == 1
+# primality and result records
 
 
 def test_is_prime_small():

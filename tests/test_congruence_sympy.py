@@ -1,0 +1,82 @@
+"""Differential tests of the discrete-log layer against sympy 1.14.
+
+sympy's `primitive_root`, `discrete_log` and `nthroot_mod` are a second,
+independent route to the answers of `find_primitive_root`, `index` and
+`power_residue_solve`.  The moduli reach well past the exhaustive tests'
+bound of 2000, up to about 10^7, where the giant-step walk runs long.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+from sympy.ntheory import discrete_log, nthroot_mod, primitive_root
+
+from padicroots import euler_phi, find_primitive_root, index, power_residue_solve
+
+PRIMES = [101, 1009, 7919, 65537, 104729, 524287, 999983, 1000003]
+PRIME_POWERS = [
+    # the ten moduli of the benchmark's offline-tables workload
+    9765625,  # 5^10
+    4782969,  # 3^14
+    2 * 3**13,
+    7**8,
+    11**6,
+    2 * 13**6,
+    101**3,
+    2 * 1009**2,
+    8388593,  # prime
+    # more p^k and 2p^k
+    2 * 999983,
+    997**2,
+    2 * 3**14,
+    17**5,
+    2 * 23**5,
+]
+MODULI = PRIMES + PRIME_POWERS
+
+
+def _units(m: int, rng: random.Random, count: int) -> list[int]:
+    out = []
+    while len(out) < count:
+        x = rng.randrange(1, m)
+        if math.gcd(x, m) == 1:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_primitive_root_matches_sympy(m):
+    assert find_primitive_root(m) == primitive_root(m)
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_index_matches_sympy_discrete_log(m):
+    rng = random.Random(m)
+    g = find_primitive_root(m)
+    phi = euler_phi(m)
+    # a primitive root other than g: g^k with k prime to phi(m)
+    k = next(k for k in range(2, phi) if math.gcd(k, phi) == 1)
+    r = pow(g, k, m)
+    assert r != g
+    for a in _units(m, rng, 12) + [1, g, r, m - 1]:
+        assert index(g, a, m).value == discrete_log(m, a, g)
+        iv = index(r, a, m)
+        assert iv.value == discrete_log(m, a, r)
+        assert (iv.base_r, iv.modulus_phi) == (r, phi)
+    # g^k with gcd(k, phi) > 1 is no primitive root
+    with pytest.raises(ValueError, match="is not a primitive root"):
+        index(pow(g, 2, m), 1, m)
+
+
+@pytest.mark.parametrize("m", MODULI)
+def test_power_residue_matches_sympy_nthroot(m):
+    rng = random.Random(m + 1)
+    for n in (2, 3, 4, 5, 6, 8, 12):
+        xs = _units(m, rng, 4)
+        # half n-th powers by construction, half arbitrary units
+        for a in [pow(x, n, m) for x in xs[:2]] + xs[2:]:
+            got = power_residue_solve(n, a, m).representatives
+            assert list(got) == sorted(nthroot_mod(a, n, m, all_roots=True)), (n, a, m)
