@@ -42,10 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_q=True):
+    def common(sp):
         sp.add_argument("--p", type=int, required=True, help="prime p of Q_p")
-        if with_q:
-            sp.add_argument("--q", type=int, required=True, help="exponent q")
+        sp.add_argument("--q", type=int, required=True, help="exponent q")
         sp.add_argument(
             "--val",
             required=True,
@@ -57,12 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=16,
             help="unit digits to carry (default 16)",
         )
-        sp.add_argument(
-            "--format",
-            choices=("plain", "structured"),
-            default="plain",
-            help="plain text or JSON",
-        )
 
     common(sub.add_parser("check", help="decide solvability of x^q = val"))
     common(sub.add_parser("root", help="construct all roots of x^q = val"))
@@ -72,9 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="second digits j with no unit solving d0^p = d0 + j*p mod p^2"
     )
     table.add_argument("--p-max", type=int, default=41, dest="p_max")
-    table.add_argument(
-        "--format", choices=("plain", "structured"), default="plain"
-    )
 
     congr = sub.add_parser("congr", help="congruence solvers")
     congr.add_argument("which", choices=("linear", "pow-residue"))
@@ -84,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=int, required=True, help="linear: modulus; pow-residue: exponent"
     )
     congr.add_argument("--m", type=int, help="pow-residue: modulus")
-    congr.add_argument(
-        "--format", choices=("plain", "structured"), default="plain"
-    )
 
     expand = sub.add_parser(
         "expand", help="terms making up the p^k coefficient of a digit power"
@@ -97,9 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--digits", required=True, help="comma separated digits d0,d1,..."
     )
     expand.add_argument("--k", type=int, required=True)
-    expand.add_argument(
-        "--format", choices=("plain", "structured"), default="plain"
-    )
+
+    for sp in sub.choices.values():
+        sp.add_argument(
+            "--format",
+            choices=("plain", "structured"),
+            default="plain",
+            help="plain text or JSON",
+        )
     return ap
 
 
@@ -123,17 +115,17 @@ def _parse_target(args, extra_digits: int) -> PAdic:
     return a
 
 
-def _verdict_payload(verdict) -> dict:
-    return {
-        "solvable": verdict.solvable,
-        "case_used": verdict.case_used,
-        "failed_condition": verdict.failed_condition,
-        "details": verdict.details,
-    }
+def _parse_equation(args) -> PAdic:
+    if args.q < 2:
+        raise ValueError("exponent q must be at least 2")
+    return _parse_target(args, int_valuation(args.q, args.p))
 
 
-def _verdict_lines(verdict) -> list[str]:
+def _verdict_report(args, a: PAdic, verdict) -> tuple[list[str], dict]:
+    """The plain lines and the payload head that check and root share."""
     lines = [
+        f"equation: x^{args.q} = {args.val} in Q_{args.p}",
+        f"value: {a}",
         f"verdict: {'solvable' if verdict.solvable else 'unsolvable'}",
         f"case: {verdict.case_used}",
     ]
@@ -141,69 +133,47 @@ def _verdict_lines(verdict) -> list[str]:
         lines.append(f"failed: {verdict.failed_condition}")
     if verdict.details:
         lines.append(f"details: {verdict.details}")
-    return lines
-
-
-def cmd_check(args) -> str:
-    if args.q < 2:
-        raise ValueError("exponent q must be at least 2")
-    a = _parse_target(args, int_valuation(args.q, args.p))
-    verdict = decide(a, args.q)
-    lines = [
-        f"equation: x^{args.q} = {args.val} in Q_{args.p}",
-        f"value: {a}",
-    ] + _verdict_lines(verdict)
     payload = {
-        "command": "check",
+        "command": args.command,
         "p": args.p,
         "q": args.q,
         "input": args.val,
         "value": str(a),
         "precision": args.precision,
-        "verdict": _verdict_payload(verdict),
+        # the Verdict fields in order; asdict would deep-copy each one
+        "verdict": dict(vars(verdict)),
     }
+    return lines, payload
+
+
+def cmd_check(args) -> str:
+    a = _parse_equation(args)
+    lines, payload = _verdict_report(args, a, decide(a, args.q))
     return _emit(args, lines, payload)
 
 
 def cmd_root(args) -> str:
-    if args.q < 2:
-        raise ValueError("exponent q must be at least 2")
-    a = _parse_target(args, int_valuation(args.q, args.p))
+    a = _parse_equation(args)
     verdict, roots = solve(a, args.q, args.precision)
-    lines = [
-        f"equation: x^{args.q} = {args.val} in Q_{args.p}",
-        f"value: {a}",
-    ] + _verdict_lines(verdict)
-    payload = {
-        "command": "root",
-        "p": args.p,
-        "q": args.q,
-        "input": args.val,
-        "value": str(a),
-        "precision": args.precision,
-        "verdict": _verdict_payload(verdict),
-        "roots": [],
-        "expected_count": None,
-        "observed_count": 0,
-    }
-    if roots is not None:
-        check_k = a.gamma + min(
-            a.precision, args.precision + int_valuation(args.q, args.p)
-        )
-        lines.append(f"expected_count: {roots.expected_count}")
-        lines.append(f"roots ({roots.observed_count}):")
-        for r in roots.roots:
-            lines.append(f"  {r}")
-        lines.append(
-            f"self-check: r^{args.q} = a (mod {args.p}^{check_k}) "
-            f"for all {roots.observed_count} root(s): ok"
-        )
-        payload["roots"] = [str(r) for r in roots.roots]
-        payload["expected_count"] = roots.expected_count
-        payload["observed_count"] = roots.observed_count
-        payload["self_check_modulus"] = f"{args.p}^{check_k}"
-    else:
+    lines, payload = _verdict_report(args, a, verdict)
+    if roots is None:
         lines.append("roots (0):")
+        payload.update(roots=[], expected_count=None, observed_count=0)
+        return _emit(args, lines, payload)
+    modulus = f"{args.p}^{roots.verify_k}"
+    lines.append(f"expected_count: {roots.expected_count}")
+    lines.append(f"roots ({roots.observed_count}):")
+    lines += [f"  {r}" for r in roots.roots]
+    lines.append(
+        f"self-check: r^{args.q} = a (mod {modulus}) "
+        f"for all {roots.observed_count} root(s): ok"
+    )
+    payload.update(
+        roots=[str(r) for r in roots.roots],
+        expected_count=roots.expected_count,
+        observed_count=roots.observed_count,
+        self_check_modulus=modulus,
+    )
     return _emit(args, lines, payload)
 
 
@@ -334,8 +304,7 @@ def cmd_expand(args) -> str:
     terms = nk_terms(args.q, args.k)
     values = [t.evaluate(padded) for t in terms]
     nk = sum(values)
-    dk = padded[args.k] if args.k < len(padded) else 0
-    lead = args.q * padded[0] ** (args.q - 1) * dk
+    lead = args.q * padded[0] ** (args.q - 1) * padded[args.k]
     lines = [
         f"exponent q={args.q}, prime p={args.p}, digit position k={args.k}, "
         f"digits: {','.join(str(d) for d in digits)}",

@@ -57,7 +57,7 @@ class NkTerm:
 
 def nk_terms(q: int, k: int) -> list[NkTerm]:
     """All exponent tuples of N_k with their coefficients, in lexicographic
-    order of (m_1, ..., m_{k-1}).  Only digits d0..d_{k-1} appear."""
+    order of (m_{k-1}, ..., m_1).  Only digits d0..d_{k-1} appear."""
     if q < 1:
         raise ValueError("exponent q must be at least 1")
     if k < 1:
@@ -65,21 +65,23 @@ def nk_terms(q: int, k: int) -> list[NkTerm]:
     out: list[NkTerm] = []
     tail = [0] * k  # m_1..m_{k-1} chosen, m_0 derived
 
-    def rec(pos: int, count_left: int, weight_left: int) -> None:
-        if pos == 0:
-            if weight_left == 0:
-                tail[0] = count_left
-                exps = tuple(tail)
-                out.append(NkTerm(exps, multinomial_coeff(q, exps)))
+    def rec(top: int, count_left: int, weight_left: int) -> None:
+        # Positions below top are all 0 here.  Pick the highest nonzero one
+        # (lowest pos first, then smallest m), keeping only choices whose
+        # rest fits: weight w fits in c parts below pos iff w <= c*(pos-1).
+        if weight_left == 0:
+            tail[0] = count_left
+            exps = tuple(tail)
+            out.append(NkTerm(exps, multinomial_coeff(q, exps)))
             return
-        cap = min(count_left, weight_left // pos)
-        for m in range(cap + 1):
-            tail[pos] = m
-            rec(pos - 1, count_left - m, weight_left - pos * m)
-        tail[pos] = 0
+        for pos in range(1, min(top, weight_left + 1)):
+            low = max(1, weight_left - count_left * (pos - 1))
+            for m in range(low, min(count_left, weight_left // pos) + 1):
+                tail[pos] = m
+                rec(pos, count_left - m, weight_left - pos * m)
+            tail[pos] = 0
 
-    if k > 1:
-        rec(k - 1, q, k)
+    rec(k, q, k)
     return out
 
 

@@ -14,17 +14,18 @@ q and p:
                     epsilon = 1; if p = 1 (mod q) a fixed non-q-th-power
                     unit eta (the smallest primitive root mod p) is used
                     and epsilon = eta^j for the unique j in [0, q-1] that
-                    makes the remaining unit a q-th power.
+                    makes the remaining unit a q-th power: j is the
+                    discrete log of the first digit to the base eta,
+                    reduced mod q.
 
 j_no_solution_table lists, per odd prime, the second digits j for which
 d0 + j*p can never match d0^p mod p^2, i.e. the j that force a nontrivial
 epsilon no matter what the first digit is.
 """
 
-import math
 from dataclasses import dataclass
 
-from .congruence import is_prime, is_qth_residue, find_primitive_root
+from .congruence import find_primitive_root, index, is_prime
 from .padic_core import PAdic, PrecisionError
 from .roots import LiftContradictionError, decide, lift_roots, _qp_digit_condition
 
@@ -88,8 +89,9 @@ def classify_coprime(x: PAdic, q: int) -> Decomposition:
     """Decompose x as epsilon * p^i * y^q for prime q < p with gcd(q,p)=1.
 
     i is the valuation mod q.  When p != 1 (mod q), epsilon is 1.  When
-    p = 1 (mod q), epsilon = eta^j for the smallest j in [0, q-1] making
-    the leftover unit a q-th power; the scan is guaranteed to hit one.
+    p = 1 (mod q), epsilon = eta^j with j = log_eta(d0) mod q: the
+    q-th powers mod p are the powers of eta whose exponent q divides, so
+    d0 * eta^-j is one exactly for that j in [0, q-1].
     """
     if x.is_zero:
         raise ValueError("cannot decompose zero")
@@ -105,24 +107,18 @@ def classify_coprime(x: PAdic, q: int) -> Decomposition:
             FORM_PLAIN, PAdic.one(p, n_digits), i, y, q, epsilon_int=1
         )
     eta = find_nonresidue_unit(p, q, n_digits)
-    for j in range(q):
-        eps = eta.pow_nat(j) if j else PAdic.one(p, n_digits)
-        w = x.shift(-i).div(eps)
-        if is_qth_residue(w.unit % p, q, p):
-            y = lift_roots(w, q, n_digits).roots[0]
-            return Decomposition(
-                FORM_ETA,
-                eps,
-                i,
-                y,
-                q,
-                epsilon_int=1 if j == 0 else None,
-                eta=eta,
-                eta_exponent=j,
-            )
-    raise LiftContradictionError(
-        f"no power of eta in [0, {q}) exposed a {q}-th power; "
-        "the coset decomposition failed"
+    j = index(eta.unit, x.unit % p, p).value % q
+    eps = eta.pow_nat(j) if j else PAdic.one(p, n_digits)
+    y = lift_roots(x.shift(-i).div(eps), q, n_digits).roots[0]
+    return Decomposition(
+        FORM_ETA,
+        eps,
+        i,
+        y,
+        q,
+        epsilon_int=1 if j == 0 else None,
+        eta=eta,
+        eta_exponent=j,
     )
 
 
@@ -143,17 +139,9 @@ def classify_p(x: PAdic) -> Decomposition:
     d = x.digits_to(2)
     j = x.gamma % p
     n_digits = x.precision
-    passes = _qp_digit_condition(p, d[0], d[1])
-    if passes:
-        w = x.shift(-j)
-        y = lift_roots(w, p, n_digits - 1).roots[0]
-        return Decomposition(
-            FORM_QP, PAdic.one(p, n_digits), j, y, p, epsilon_int=1
-        )
-    eps_int = d[0] + d[1] * p
+    eps_int = 1 if _qp_digit_condition(p, d[0], d[1]) else d[0] + d[1] * p
     eps = PAdic.from_int(eps_int, p, n_digits)
-    w = x.shift(-j).div(eps)
-    y = lift_roots(w, p, n_digits - 1).roots[0]
+    y = lift_roots(x.shift(-j).div(eps), p, n_digits - 1).roots[0]
     return Decomposition(FORM_QP, eps, j, y, p, epsilon_int=eps_int)
 
 

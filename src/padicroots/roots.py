@@ -68,10 +68,12 @@ class Verdict:
 class RootSet:
     """All roots found, sorted by unit residue; expected_count is the
     group-theoretic count gcd(q, p-1) when that applies (units, gcd(q,p)=1)
-    and None when no count is claimed."""
+    and None when no count is claimed.  Every root was checked to satisfy
+    r^q = a (mod p^verify_k) before it was returned."""
 
     roots: tuple[PAdic, ...]
     expected_count: int | None
+    verify_k: int
 
     @property
     def observed_count(self) -> int:
@@ -324,7 +326,7 @@ def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
     expected = None
     if c == 0:
         expected = math.gcd(q, p - 1)
-    return RootSet(roots, expected)
+    return RootSet(roots, expected, verify_k)
 
 
 def solve(a: PAdic, q: int, n_digits: int):

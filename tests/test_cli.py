@@ -8,11 +8,14 @@ codes.  Structured output must carry the same data as the plain text.
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bruteforce as bf
 from padicroots.cli import main
 
 
@@ -101,6 +104,123 @@ def test_root_structured_mirrors_plain(capsys):
     assert str(doc["p"]) == "5"[:1] or doc["p"] == 5
 
 
+# Full structured output, byte for byte: a solvable q = p case with a
+# nonzero valuation, and a chain case whose p-th root link fails.
+CHECK_SOLVABLE_JSON = """\
+{
+  "command": "check",
+  "p": 3,
+  "q": 3,
+  "input": "216",
+  "value": "3;2,2,0,0,0",
+  "precision": 4,
+  "verdict": {
+    "solvable": true,
+    "case_used": "q_equals_p",
+    "failed_condition": null,
+    "details": "2^3 = 2 + 2*3 (mod 9)"
+  }
+}
+"""
+
+ROOT_SOLVABLE_JSON = """\
+{
+  "command": "root",
+  "p": 3,
+  "q": 3,
+  "input": "216",
+  "value": "3;2,2,0,0,0",
+  "precision": 4,
+  "verdict": {
+    "solvable": true,
+    "case_used": "q_equals_p",
+    "failed_condition": null,
+    "details": "2^3 = 2 + 2*3 (mod 9)"
+  },
+  "roots": [
+    "1;2,0,0,0"
+  ],
+  "expected_count": null,
+  "observed_count": 1,
+  "self_check_modulus": "3^8"
+}
+"""
+
+CHECK_CHAIN_JSON = """\
+{
+  "command": "check",
+  "p": 3,
+  "q": 6,
+  "input": "7",
+  "value": "0;1,2,0,0,0",
+  "precision": 4,
+  "verdict": {
+    "solvable": false,
+    "case_used": "general_chain",
+    "failed_condition": "chain_step 2",
+    "details": "x^3 link: u^2 = 4 (mod 3^2), must be 1"
+  }
+}
+"""
+
+ROOT_CHAIN_JSON = """\
+{
+  "command": "root",
+  "p": 3,
+  "q": 6,
+  "input": "7",
+  "value": "0;1,2,0,0,0",
+  "precision": 4,
+  "verdict": {
+    "solvable": false,
+    "case_used": "general_chain",
+    "failed_condition": "chain_step 2",
+    "details": "x^3 link: u^2 = 4 (mod 3^2), must be 1"
+  },
+  "roots": [],
+  "expected_count": null,
+  "observed_count": 0
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, q, val, golden",
+    [
+        ("check", "3", "216", CHECK_SOLVABLE_JSON),
+        ("root", "3", "216", ROOT_SOLVABLE_JSON),
+        ("check", "6", "7", CHECK_CHAIN_JSON),
+        ("root", "6", "7", ROOT_CHAIN_JSON),
+    ],
+    ids=["check-solvable", "root-solvable", "check-chain", "root-chain"],
+)
+def test_structured_output_golden(capsys, command, q, val, golden):
+    code, out = run_cli(
+        capsys, command, "--p", "3", "--q", q, "--val", val, "--precision", "4",
+        "--format", "structured",
+    )
+    assert code == 0
+    assert out == golden
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_command_line_examples_verbatim(capsys):
+    # each '$ padicroots ...' example in the Command line block, with the
+    # output printed under it
+    block = README.read_text().split("## Command line", 1)[1].split("```\n")[1]
+    examples = [chunk.splitlines() for chunk in block.strip().split("\n\n")]
+    assert [lines[0].split()[2] for lines in examples] == [
+        "check", "root", "classify", "table",
+    ]
+    for command, *want in examples:
+        argv = shlex.split(command.removeprefix("$ padicroots "))
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == "\n".join(want) + "\n", argv
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -174,6 +294,16 @@ def test_table_byte_stable(capsys):
     assert first == second
 
 
+def test_table_rows_match_power_image_oracle(capsys):
+    # j is listed when no p-th power of a unit mod p^2 has second digit j
+    _, out = run_cli(capsys, "table", "--p-max", "41")
+    want = []
+    for p in bf.primes_upto(41)[1:]:
+        seen = {y // p for y in bf.power_image(p, p * p, p)}
+        want.append(f"p={p}: " + ", ".join(str(j) for j in range(p) if j not in seen))
+    assert out.splitlines() == want
+
+
 def test_table_structured_fields(capsys):
     code, out = run_cli(capsys, "table", "--p-max", "7", "--format", "structured")
     doc = json.loads(out)
@@ -214,6 +344,16 @@ def test_expand_n2_terms(capsys):
     assert code == 0
     assert "N_2 = 3" in out
     assert "(1,2)" in out  # the single exponent tuple
+
+
+def test_expand_answers_at_large_k(capsys):
+    # one term per split 1000 = a + b with 1 <= a <= b; no recursion limit
+    code, out = run_cli(
+        capsys, "expand", "--p", "3", "--q", "2", "--digits", "1", "--k", "1000"
+    )
+    assert code == 0
+    assert sum(line.startswith("  (") for line in out.splitlines()) == 500
+    assert "N_1000 = 0" in out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ coefficients by polynomial convolution over plain integers.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -72,6 +73,26 @@ def test_nk_terms_constraints_hold():
                 assert term.coefficient == multinomial_coeff(q, term.exponents)
                 # the leading term q*d0^(q-1)*dk is excluded by construction
                 assert len(term.exponents) <= k
+
+
+def test_nk_terms_are_every_tuple_in_reverse_lexicographic_order():
+    # the order expand prints: by (m_{k-1}, ..., m_1)
+    for q in range(1, 5):
+        for k in range(1, 8):
+            want = sorted(
+                (
+                    t
+                    for t in itertools.product(range(q + 1), repeat=k)
+                    if sum(t) == q and sum(i * m for i, m in enumerate(t)) == k
+                ),
+                key=lambda t: t[:0:-1],
+            )
+            assert [term.exponents for term in nk_terms(q, k)] == want
+
+
+def test_nk_terms_at_large_k():
+    # q = 2: the pairs 900 = a + b with 1 <= a <= b
+    assert len(nk_terms(2, 900)) == 450
 
 
 def test_nk_is_zero_at_k1():
