@@ -123,9 +123,10 @@ def _parse_equation(args) -> PAdic:
 
 def _verdict_report(args, a: PAdic, verdict) -> tuple[list[str], dict]:
     """The plain lines and the payload head that check and root share."""
+    value = str(a)
     lines = [
         f"equation: x^{args.q} = {args.val} in Q_{args.p}",
-        f"value: {a}",
+        f"value: {value}",
         f"verdict: {'solvable' if verdict.solvable else 'unsolvable'}",
         f"case: {verdict.case_used}",
     ]
@@ -138,7 +139,7 @@ def _verdict_report(args, a: PAdic, verdict) -> tuple[list[str], dict]:
         "p": args.p,
         "q": args.q,
         "input": args.val,
-        "value": str(a),
+        "value": value,
         "precision": args.precision,
         # the Verdict fields in order; asdict would deep-copy each one
         "verdict": dict(vars(verdict)),
@@ -161,15 +162,16 @@ def cmd_root(args) -> str:
         payload.update(roots=[], expected_count=None, observed_count=0)
         return _emit(args, lines, payload)
     modulus = f"{args.p}^{roots.verify_k}"
+    rendered = [str(r) for r in roots.roots]
     lines.append(f"expected_count: {roots.expected_count}")
     lines.append(f"roots ({roots.observed_count}):")
-    lines += [f"  {r}" for r in roots.roots]
+    lines += [f"  {r}" for r in rendered]
     lines.append(
         f"self-check: r^{args.q} = a (mod {modulus}) "
         f"for all {roots.observed_count} root(s): ok"
     )
     payload.update(
-        roots=[str(r) for r in roots.roots],
+        roots=rendered,
         expected_count=roots.expected_count,
         observed_count=roots.observed_count,
         self_check_modulus=modulus,
@@ -192,18 +194,17 @@ def cmd_classify(args) -> str:
     ok = recomposed.eq_mod(a, check_k)
     if not ok:
         raise LiftContradictionError("decomposition failed to recompose")
-    eps_str = (
-        str(dec.epsilon_int) if dec.epsilon_int is not None else str(dec.epsilon)
-    )
+    value, epsilon, y = str(a), str(dec.epsilon), str(dec.y)
+    eta = str(dec.eta) if dec.eta is not None else None
     lines = [
-        f"value: {a} in Q_{args.p} (q={args.q})",
+        f"value: {value} in Q_{args.p} (q={args.q})",
         f"form: {dec.form}",
-        f"epsilon: {eps_str}",
+        f"epsilon: {dec.epsilon_int if dec.epsilon_int is not None else epsilon}",
         f"delta: {args.p}^{dec.delta_exponent}",
-        f"y: {dec.y}",
+        f"y: {y}",
     ]
-    if dec.eta is not None:
-        lines.append(f"eta: {dec.eta} (epsilon = eta^{dec.eta_exponent})")
+    if eta is not None:
+        lines.append(f"eta: {eta} (epsilon = eta^{dec.eta_exponent})")
     lines.append(
         f"check: epsilon * {args.p}^{dec.delta_exponent} * y^{args.q} "
         f"= value (mod {args.p}^{check_k}): ok"
@@ -213,13 +214,13 @@ def cmd_classify(args) -> str:
         "p": args.p,
         "q": args.q,
         "input": args.val,
-        "value": str(a),
+        "value": value,
         "form": dec.form,
-        "epsilon": str(dec.epsilon),
+        "epsilon": epsilon,
         "epsilon_int": dec.epsilon_int,
         "delta_exponent": dec.delta_exponent,
-        "y": str(dec.y),
-        "eta": str(dec.eta) if dec.eta is not None else None,
+        "y": y,
+        "eta": eta,
         "eta_exponent": dec.eta_exponent,
         "check_modulus": f"{args.p}^{check_k}",
         "check_ok": True,

@@ -5,17 +5,21 @@ The unit group mod m is worked out once per modulus. `_unit_group(m)`
 factors m, finds phi(m) and the smallest generator g, and builds g's
 baby-step table for baby-step giant-step discrete logs;
 `find_primitive_root`, `index` and `power_residue_solve` all read that one
-record. A bounded `lru_cache` holds the records: a table has
-isqrt(phi(m)) + 1 entries, so an unbounded cache would keep one per modulus
-ever seen for the life of the process.
+record. The records are cached, least recently used first out, up to
+a total of _UNIT_GROUP_TABLE_ENTRIES baby-step entries: a table has
+isqrt(phi(m)) + 1 entries, about 100 MiB near m = 10^12, so a cache bounded
+by record count alone could hold gigabytes. A record whose table alone is
+over the bound is built for its call and not kept.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
-# records kept by `_unit_group`; the cost of one is O(sqrt(phi(m))) memory
-_UNIT_GROUP_CACHE_SIZE = 32
+# baby-step entries kept in all by `_unit_group` (a record without a table
+# counts as one); about 100 bytes each
+_UNIT_GROUP_TABLE_ENTRIES = 1 << 17
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +105,33 @@ class _UnitGroup:
         raise ValueError("index search exhausted the group")
 
 
-@lru_cache(maxsize=_UNIT_GROUP_CACHE_SIZE)
+class _GroupCache:
+    """Unit-group records by modulus, least recently used first, each with
+    its baby-step entry count (one for a record without a table), and the
+    total of those counts."""
+
+    def __init__(self):
+        self.records: OrderedDict = OrderedDict()  # m -> (record, entries)
+        self.entries = 0
+
+    def get(self, m: int) -> "_UnitGroup | None":
+        if m in self.records:
+            self.records.move_to_end(m)
+            return self.records[m][0]
+        group = _build_unit_group(m)
+        size = group.step if group is not None else 1
+        if size <= _UNIT_GROUP_TABLE_ENTRIES:
+            while self.entries + size > _UNIT_GROUP_TABLE_ENTRIES:
+                _, (_, old) = self.records.popitem(last=False)
+                self.entries -= old
+            self.records[m] = (group, size)
+            self.entries += size
+        return group
+
+
+_UNIT_GROUPS = _GroupCache()
+
+
 def _unit_group(m: int) -> _UnitGroup | None:
     """The unit group record mod m, or None when the units are not cyclic.
 
@@ -109,6 +139,10 @@ def _unit_group(m: int) -> _UnitGroup | None:
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
+    return _UNIT_GROUPS.get(m)
+
+
+def _build_unit_group(m: int) -> _UnitGroup | None:
     fac = factorize(m)
     odd = [p for p in fac if p != 2]
     if m not in (2, 4) and (len(odd) != 1 or fac.get(2, 0) > 1):

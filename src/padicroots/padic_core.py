@@ -22,6 +22,45 @@ class PrecisionError(ValueError):
     """An operation needed more digits than the value carries."""
 
 
+# Digit conversion splits a number of more than _LEAF digits at p**h, h
+# about half its digits, and converts the halves alike: big-int work goes
+# into a few large divisions or products instead of one per digit.
+_LEAF = 64
+
+
+def _to_digits(x: int, p: int, k: int, out: list, powers: dict) -> None:
+    """Append the k low base-p digits of x, least significant first.
+    powers caches p**h by h across the recursion."""
+    if k <= _LEAF:
+        for _ in range(k):
+            x, d = divmod(x, p)
+            out.append(d)
+        return
+    h = k // 2
+    if h not in powers:
+        powers[h] = p**h
+    hi, lo = divmod(x, powers[h])
+    _to_digits(lo, p, h, out, powers)
+    _to_digits(hi, p, k - h, out, powers)
+
+
+def _from_digits(digits, p: int, powers: dict) -> int:
+    """sum(d * p**i) over the digits, least significant first (digits
+    may lie outside [0, p-1]).  powers caches p**h by h."""
+    k = len(digits)
+    if k <= _LEAF:
+        value = 0
+        for d in reversed(digits):
+            value = value * p + d
+        return value
+    h = k // 2
+    if h not in powers:
+        powers[h] = p**h
+    return _from_digits(digits[:h], p, powers) + powers[h] * _from_digits(
+        digits[h:], p, powers
+    )
+
+
 @dataclass(frozen=True)
 class PAdic:
     p: int
@@ -86,10 +125,10 @@ class PAdic:
         gamma.  Normalizing a canonical vector returns it unchanged, so the
         map is idempotent.
         """
-        digits = list(digits)
+        digits = [int(d) for d in digits]
         if not digits:
             raise ValueError("empty digit vector")
-        value = sum(int(d) * p**i for i, d in enumerate(digits))
+        value = _from_digits(digits, p, {})
         if value == 0:
             return cls.zero(p, len(digits))
         v = int_valuation(value, p)
@@ -116,11 +155,8 @@ class PAdic:
             raise PrecisionError(
                 f"requested {k} digits but only {self.precision} are known"
             )
-        out = []
-        u = self.unit
-        for _ in range(k):
-            u, d = divmod(u, self.p)
-            out.append(d)
+        out: list[int] = []
+        _to_digits(self.unit, self.p, k, out, {})
         return tuple(out)
 
     def unit_part(self) -> "PAdic":
@@ -270,7 +306,7 @@ class PAdic:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        return f"{self.gamma};" + ",".join(str(d) for d in self.digits)
+        return f"{self.gamma};" + ",".join(map(str, self.digits))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -315,8 +351,7 @@ def parse_value(text: str, p: int, precision: int) -> PAdic:
         if digs[0] == 0:
             raise ValueError("first digit must be nonzero (canonical form)")
         # d0 != 0 makes the digit sum a unit, so gamma is the valuation
-        value = sum(d * p**i for i, d in enumerate(digs))
-        return PAdic.from_unit(p, gamma, value, precision)
+        return PAdic.from_unit(p, gamma, _from_digits(digs, p, {}), precision)
     num, slash, den = t.partition("/")
     try:
         n = int(num)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .congruence import find_primitive_root, index, is_prime
 from .padic_core import PAdic, PrecisionError
-from .roots import LiftContradictionError, decide, lift_roots, _qp_digit_condition
+from .roots import LiftContradictionError, decide, lift_root, _qp_digit_condition
 
 FORM_QP = "q_equals_p"
 FORM_PLAIN = "coprime_plain"
@@ -102,14 +102,14 @@ def classify_coprime(x: PAdic, q: int) -> Decomposition:
     n_digits = x.precision
     if (p - 1) % q != 0:
         w = x.shift(-i)
-        y = lift_roots(w, q, n_digits).roots[0]
+        y = lift_root(w, q, n_digits)
         return Decomposition(
             FORM_PLAIN, PAdic.one(p, n_digits), i, y, q, epsilon_int=1
         )
     eta = find_nonresidue_unit(p, q, n_digits)
     j = index(eta.unit, x.unit % p, p).value % q
     eps = eta.pow_nat(j) if j else PAdic.one(p, n_digits)
-    y = lift_roots(x.shift(-i).div(eps), q, n_digits).roots[0]
+    y = lift_root(x.shift(-i).div(eps), q, n_digits)
     return Decomposition(
         FORM_ETA,
         eps,
@@ -141,7 +141,7 @@ def classify_p(x: PAdic) -> Decomposition:
     n_digits = x.precision
     eps_int = 1 if _qp_digit_condition(p, d[0], d[1]) else d[0] + d[1] * p
     eps = PAdic.from_int(eps_int, p, n_digits)
-    y = lift_roots(x.shift(-j).div(eps), p, n_digits - 1).roots[0]
+    y = lift_root(x.shift(-j).div(eps), p, n_digits - 1)
     return Decomposition(FORM_QP, eps, j, y, p, epsilon_int=eps_int)
 
 

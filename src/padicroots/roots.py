@@ -28,16 +28,24 @@ relative to p, and the first three cases are the paper's digit criteria:
                 the q_equals_p and square digit conditions.  The verdict
                 reports the first link that fails.
 
-lift_roots then lifts one seed per root by Newton iteration; solve is
-decide followed by lift_roots.  If the criteria say solvable and the lift
-then fails, the two halves of the theory disagree, which is a fatal
-internal error raised as LiftContradictionError (never swallowed).
+lift_roots then lifts one root by Newton iteration at doubling precision
+and multiplies it by the roots of unity of Q_p (Z_p^* = mu_(p-1) x
+(1 + pZ_p), so every other root is that one times a root of unity);
+lift_root returns the least of those roots alone.  solve is decide
+followed by lift_roots.  If the criteria say solvable and the lift then
+fails, the two halves of the theory disagree, which is a fatal internal
+error raised as LiftContradictionError (never swallowed).
 """
 
 import math
 from dataclasses import dataclass
 
-from .congruence import int_valuation, is_qth_residue, power_residue_solve
+from .congruence import (
+    find_primitive_root,
+    int_valuation,
+    is_qth_residue,
+    power_residue_solve,
+)
 from .padic_core import PAdic, PrecisionError
 
 CASE_SQUARE = "square"
@@ -247,26 +255,37 @@ def decide(a: PAdic, q: int) -> Verdict:
 _NEWTON_STEPS = 64
 
 
-def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
-    """Every root of x^q = a to n_digits unit digits: one seed per root,
-    each lifted by Newton iteration.
+def _newton(x: int, q: int, u: int, p: int, n_digits: int) -> int:
+    """Lift x to the root of x^q = u it approximates, mod p**n_digits.
 
-    Write a = p**gamma * u and q = m * p**c with p not dividing m.  Every
-    root is p**(gamma/q) times a unit root of x^q = u, and by
-    Z_p^* = mu_(p-1) x (1 + pZ_p) the unit roots are told apart by one
-    seed each: for odd p the m-th roots of d0 = u mod p (just d0 when
-    m = 1), for p = 2 the pair 1, -1 when q is even and u mod 4 when q is
-    odd.  A seed must satisfy x^q = u (mod p**(c+1)), or mod 2**(c+2) at
-    p = 2; then x <- x - (x^q - u)/(q*x^(q-1)) (mod p**n_digits) runs
-    until x^q = u (mod p**(n_digits+c)).  The roots are the distinct
-    residues reached, sorted, and each is checked against a before any is
-    returned.
-
-    Callers must have established a solvable verdict first (see decide):
-    a missing or failing seed, or a Newton loop that does not settle,
-    means the criteria and the lifting disagree and raises
-    LiftContradictionError.
+    x must agree with that root in its first digit (first two at p = 2).
+    Newton's step x <- x - (x^q - u)/(q*x^(q-1)) then doubles the digits
+    that agree (2k - 1 of k at p = 2), so step i works modulo p**(k_i + c),
+    c = v_p(q), with k_i doubling up to n_digits; u must be known to
+    n_digits + c digits.  The loop ends once x^q = u (mod p**(n_digits+c))
+    holds at full precision, and raises LiftContradictionError if that
+    does not happen within _NEWTON_STEPS steps.
     """
+    pc = p ** int_valuation(q, p)
+    m = q // pc
+    k = 2 if p == 2 else 1
+    for _ in range(_NEWTON_STEPS):
+        k = min(n_digits, 2 * k - (p == 2))
+        mod = p**k
+        y = pow(x, q - 1, mod * pc)
+        f = (y * x - u) % (mod * pc)
+        if f == 0 and k == n_digits:
+            return x % mod
+        x = (x - f // pc * pow(m * y, -1, mod)) % mod
+    raise LiftContradictionError(
+        f"Newton lift of x^{q} = a did not settle in {_NEWTON_STEPS} steps"
+    )
+
+
+def _unit_roots(a: PAdic, q: int, n_digits: int) -> list[int]:
+    """The unit parts of every root of x^q = a, mod p**n_digits, sorted:
+    one Newton lift of one seed, times the roots of unity of Q_p that
+    x^q cannot tell apart."""
     _require_nonzero(a)
     if q < 2:
         raise ValueError("exponent must be at least 2")
@@ -285,48 +304,87 @@ def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
         )
     m = q // p**c
     if p == 2:
-        seeds = (1, -1) if q % 2 == 0 else (a.unit % 4,)
+        seed = 1 if q % 2 == 0 else a.unit % 4
     elif m == 1:
-        seeds = (a.unit % p,)
+        seed = a.unit % p
     else:
         seeds = power_residue_solve(m, a.unit % p, p).representatives
-    if not seeds:
-        raise LiftContradictionError(
-            f"{a.unit % p} has no {m}-th root mod {p}; criteria and lifting disagree"
-        )
-    seed_mod = p ** min(_power_depth(p, c), a.precision)
-    mod, target_mod = p**n_digits, p ** (n_digits + c)
-    u = a.unit % target_mod
-    units = set()
-    for x in seeds:
-        if pow(x, q, seed_mod) != a.unit % seed_mod:
+        if not seeds:
             raise LiftContradictionError(
-                f"seed {x} fails x^{q} = {a.unit % seed_mod} (mod {seed_mod}); "
+                f"{a.unit % p} has no {m}-th root mod {p}; "
                 "criteria and lifting disagree"
             )
-        for _ in range(_NEWTON_STEPS):
-            f = (pow(x, q, target_mod) - u) % target_mod
-            if f == 0:
-                break
-            x = (x - f // p**c * pow(m * pow(x, q - 1, mod), -1, mod)) % mod
-        else:
-            raise LiftContradictionError(
-                f"Newton lift of x^{q} = a did not settle in {_NEWTON_STEPS} steps"
-            )
-        units.add(x % mod)
-    g = a.gamma // q
-    roots = tuple(PAdic.from_unit(p, g, r, n_digits) for r in sorted(units))
-    # self-check every root before handing it out
-    verify_k = a.gamma + min(a.precision, n_digits + c)
+        seed = seeds[0]
+    seed_mod = p ** min(_power_depth(p, c), a.precision)
+    if pow(seed, q, seed_mod) != a.unit % seed_mod:
+        raise LiftContradictionError(
+            f"seed {seed} fails x^{q} = {a.unit % seed_mod} (mod {seed_mod}); "
+            "criteria and lifting disagree"
+        )
+    mod = p**n_digits
+    x = _newton(seed, q, a.unit % (mod * p**c), p, n_digits)
+    # mu(Q_p) is mu_(p-1) for odd p and {1, -1} for p = 2; its d-th roots
+    # of unity are the powers of zeta
+    d = math.gcd(q, 2 if p == 2 else p - 1)
+    if d > 2:
+        z = pow(find_primitive_root(p), (p - 1) // d, p)
+        zeta = _newton(z, d, 1, p, n_digits)
+    else:
+        zeta = mod - 1
+    units = {x}
+    for _ in range(d - 1):
+        x = x * zeta % mod
+        units.add(x)
+    return sorted(units)
+
+
+def _checked(a: PAdic, q: int, n_digits: int, units) -> tuple[tuple, int]:
+    """The roots p**(gamma/q) * r for the unit residues r, each checked
+    against a with one power, and the exponent k of r^q = a (mod p**k)."""
+    verify_k = a.gamma + n_digits + int_valuation(q, a.p)
+    roots = tuple(PAdic.from_unit(a.p, a.gamma // q, r, n_digits) for r in units)
     for r in roots:
         if not r.pow_nat(q).eq_mod(a, verify_k):
             raise LiftContradictionError(
                 f"lifted value {r} fails r^{q} = a mod p^{verify_k}"
             )
-    expected = None
-    if c == 0:
-        expected = math.gcd(q, p - 1)
+    return roots, verify_k
+
+
+def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
+    """Every root of x^q = a to n_digits unit digits: one root lifted by
+    Newton iteration, times the roots of unity.
+
+    Write a = p**gamma * u and q = m * p**c with p not dividing m.  Every
+    root is p**(gamma/q) times a unit root of x^q = u, and by
+    Z_p^* = mu_(p-1) x (1 + pZ_p) the unit roots are r0 * zeta**k for one
+    unit root r0 and zeta a primitive d-th root of unity, where
+    d = gcd(q, p-1) for odd p and d = gcd(q, 2) for p = 2 (zeta = -1).
+    r0 is lifted from one seed: an m-th root of d0 = u mod p for odd p
+    (d0 itself when m = 1); 1 for even q and u mod 4 for odd q at p = 2.
+    The seed must satisfy x^q = u (mod p**(c+1)), or mod 2**(c+2) at
+    p = 2.  Newton steps at doubling precision then lift it until
+    x^q = u (mod p**(n_digits+c)).  zeta is g**((p-1)/d) mod p, for g the
+    smallest primitive root, Newton-lifted on x^d = 1.  The roots are the
+    distinct residues r0 * zeta**k, sorted, and each is checked against a
+    with one power before any is returned.
+
+    Callers must have established a solvable verdict first (see decide):
+    a missing or failing seed, or a Newton loop that does not settle,
+    means the criteria and the lifting disagree and raises
+    LiftContradictionError.
+    """
+    roots, verify_k = _checked(a, q, n_digits, _unit_roots(a, q, n_digits))
+    c = int_valuation(q, a.p)
+    expected = math.gcd(q, a.p - 1) if c == 0 else None
     return RootSet(roots, expected, verify_k)
+
+
+def lift_root(a: PAdic, q: int, n_digits: int) -> PAdic:
+    """The first root lift_roots(a, q, n_digits) returns, the one with the
+    least unit residue, with only that root checked against a."""
+    roots, _ = _checked(a, q, n_digits, _unit_roots(a, q, n_digits)[:1])
+    return roots[0]
 
 
 def solve(a: PAdic, q: int, n_digits: int):

@@ -431,3 +431,14 @@ def test_process_digit_literal_with_huge_valuation_answers():
     assert done.returncode == 0
     assert "value: -1000003;5,1,2,0,0,0" in done.stdout
     assert "case: q_equals_p" in done.stdout
+
+
+def test_process_classify_with_many_roots_answers_quickly():
+    # q | p - 1 with 166,667 roots of unity: classify lifts one root
+    done = run_process(
+        "classify", "--p", "1000003", "--q", "166667", "--val", "5",
+        "--precision", "4", timeout=2,
+    )
+    assert done.returncode == 0
+    assert "form: coprime_with_eta" in done.stdout
+    assert "y: 0;981639,523728,136694,2" in done.stdout

@@ -146,6 +146,37 @@ def test_group_structure_is_worked_out_once_per_modulus(monkeypatch):
     assert len(calls) == first
 
 
+def test_group_cache_is_bounded_by_table_entries(monkeypatch):
+    calls = []
+    real = congruence.factorize
+
+    def counting_factorize(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(congruence, "factorize", counting_factorize)
+    # tables of 1351 and 1661 baby steps; no other test uses these moduli
+    first, second = 2 * 37**4, 2 * 41**4
+    monkeypatch.setattr(congruence, "_UNIT_GROUP_TABLE_ENTRIES", 2000)
+    power_residue_solve(3, 3, first)
+    assert first in calls
+    calls.clear()
+    power_residue_solve(3, 5, first)
+    assert not calls, "a record within the bound stays cached"
+    power_residue_solve(3, 3, second)
+    assert congruence._UNIT_GROUPS.entries <= 2000
+    calls.clear()
+    power_residue_solve(3, 5, first)
+    assert first in calls, "the second modulus must evict the first"
+    # a table over the whole bound is built for its call and not kept
+    monkeypatch.setattr(congruence, "_UNIT_GROUP_TABLE_ENTRIES", 1000)
+    calls.clear()
+    power_residue_solve(3, 3, second)
+    power_residue_solve(3, 5, second)
+    assert calls.count(second) == 2
+    assert congruence._UNIT_GROUPS.entries <= 2000
+
+
 @given(st.sampled_from([7, 9, 11, 13, 23, 27, 49, 101, 121]), st.data())
 @settings(max_examples=200, deadline=None)
 def test_index_laws(m, data):

@@ -7,6 +7,7 @@ run as hypothesis properties over random values.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from padicroots import PAdic, PrecisionError, parse_value
+from padicroots.cli import PRECISION_CAP
+from padicroots.padic_core import _LEAF
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -220,6 +223,28 @@ def test_digits_to_prefix_and_overrun():
 def test_str_round_trip_through_parser():
     x = PAdic.from_rational(9, 14, 7, 5)
     assert parse_value(str(x), 7, 5) == x
+
+
+def test_digit_conversion_matches_plain_loops():
+    # lengths on both sides of the split threshold and up to the CLI cap,
+    # against one divmod per digit and Horner's rule
+    rng = random.Random(41)
+    for p in (2, 5, 1009):
+        for k in (1, _LEAF - 1, _LEAF, _LEAF + 1, 4000, PRECISION_CAP):
+            digits = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(k - 1)]
+            unit = 0
+            for d in reversed(digits):
+                unit = unit * p + d
+            x = parse_value("3;" + ",".join(map(str, digits)), p, k)
+            assert (x.gamma, x.unit, x.precision) == (3, unit, k)
+            want, u = [], unit
+            for _ in range(k):
+                u, d = divmod(u, p)
+                want.append(d)
+            assert want == digits
+            for j in (1, k // 3 + 1, k):
+                assert x.digits_to(j) == tuple(want[:j]), (p, k, j)
+            assert str(x) == "3;" + ",".join(map(str, want))
 
 
 def test_parse_value_forms():

@@ -351,6 +351,38 @@ def test_lift_matches_digit_search_on_solvable_targets():
                     assert all(x.gamma == g // q for x in rs.roots)
 
 
+def test_lift_at_large_precision_against_plain_integers():
+    # coprime q, q = p and q = m * p^c with d = gcd(q, p-1) > 1, checked
+    # with integer arithmetic only
+    cases = [
+        (2, 2), (2, 3), (2, 12), (3, 2), (3, 3), (3, 6), (5, 4), (5, 5),
+        (5, 20), (101, 2), (101, 25), (101, 101), (101, 1010), (1009, 3),
+        (1009, 1009), (1009, 2018),
+    ]
+    rng = random.Random(35)
+    for p, q in cases:
+        c = bf.int_valuation(q, p)
+        for n in (1, 2, 37, 500, 2000):
+            r = rng.randrange(1, p ** (n + c))
+            r += r % p == 0
+            u = pow(r, q, p ** (n + c))
+            g = q * rng.randrange(-2, 3)
+            rs = lift_roots(PAdic.from_unit(p, g, u, n + c), q, n)
+            k = rs.verify_k - g
+            assert k == n + c, (p, q, n)
+            for x in rs.roots:
+                assert x.gamma == g // q
+                assert pow(x.unit, q, p**k) == u % p**k, (p, q, n)
+            units = {x.unit % p**n for x in rs.roots}
+            assert len(units) == rs.observed_count
+            assert r % p**n in units
+            if p == 2:
+                want = 2 if q % 2 == 0 and n > 1 else 1
+            else:
+                want = math.gcd(q, p - 1)
+            assert rs.observed_count == want, (p, q, n)
+
+
 def test_chain_step_is_first_failing_link():
     rng = random.Random(32)
     for p in (2, 3, 5):
