@@ -4,12 +4,13 @@ linear congruences and n-th power residues on cyclic unit groups.
 The unit group mod m is worked out once per modulus. `_unit_group(m)`
 factors m, finds phi(m) and the smallest generator g, and builds g's
 baby-step table for baby-step giant-step discrete logs;
-`find_primitive_root`, `index` and `power_residue_solve` all read that one
-record. The records are cached, least recently used first out, up to
-a total of _UNIT_GROUP_TABLE_ENTRIES baby-step entries: a table has
-isqrt(phi(m)) + 1 entries, about 100 MiB near m = 10^12, so a cache bounded
-by record count alone could hold gigabytes. A record whose table alone is
-over the bound is built for its call and not kept.
+`find_primitive_root`, `index`, `power_residue_root` and
+`power_residue_solve` all read that one record. The records are cached,
+least recently used first out, up to a total of _UNIT_GROUP_TABLE_ENTRIES
+baby-step entries: a table has isqrt(phi(m)) + 1 entries, about 100 MiB
+near m = 10^12, so a cache bounded by record count alone could hold
+gigabytes. A record whose table alone is over the bound is built for its
+call and not kept.
 """
 
 import math
@@ -240,13 +241,9 @@ def solve_linear(a: int, b: int, n: int) -> CongruenceSolution:
     return CongruenceSolution(tuple(x0 + t * n1 for t in range(g)), n)
 
 
-def power_residue_solve(n: int, a: int, m: int) -> CongruenceSolution:
-    """All solutions of x^n = a (mod m) for m with a cyclic unit group.
-
-    Writing a = g^t for the generator g, the congruence reduces to the
-    linear one n*s = t (mod phi(m)); it is solvable iff gcd(n, phi(m))
-    divides t, and then has exactly gcd(n, phi(m)) solutions g^s.
-    """
+def _residue_group(n: int, a: int, m: int) -> tuple[_UnitGroup, int]:
+    """The unit group record mod m and a reduced mod m, for x^n = a
+    (mod m): n must be at least 1, the group cyclic and a a unit."""
     if n < 1:
         raise ValueError("exponent must be at least 1")
     group = _unit_group(m)
@@ -255,9 +252,50 @@ def power_residue_solve(n: int, a: int, m: int) -> CongruenceSolution:
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit mod {m}")
-    exps = solve_linear(n, group.log(a), group.phi)
-    sols = sorted(pow(group.g, s, m) for s in exps.representatives)
-    return CongruenceSolution(tuple(sols), m)
+    return group, a
+
+
+def _root_exponent(group: _UnitGroup, n: int, a: int) -> int | None:
+    """The least s >= 0 with n*s = log_g(a) (mod phi), so that g^s is an
+    n-th root of a, or None when gcd(n, phi) does not divide log_g(a) and
+    a has no n-th root."""
+    t = group.log(a)
+    d = math.gcd(n, group.phi)
+    if t % d != 0:
+        return None
+    step = group.phi // d
+    return t // d * pow(n // d, -1, step) % step
+
+
+def power_residue_root(n: int, a: int, m: int) -> int | None:
+    """One solution of x^n = a (mod m) for m with a cyclic unit group, or
+    None when there is none: g^s for the generator g and the least s of
+    _root_exponent.  One discrete log and one modular power."""
+    group, a = _residue_group(n, a, m)
+    s = _root_exponent(group, n, a)
+    return None if s is None else pow(group.g, s, m)
+
+
+def power_residue_solve(n: int, a: int, m: int) -> CongruenceSolution:
+    """All solutions of x^n = a (mod m) for m with a cyclic unit group.
+
+    Writing a = g^t for the generator g, the congruence reduces to the
+    linear one n*s = t (mod phi(m)); it is solvable iff d = gcd(n, phi(m))
+    divides t, and then its solutions are g^s for the least such s times
+    the d powers of g^(phi(m)/d).
+    """
+    group, a = _residue_group(n, a, m)
+    s = _root_exponent(group, n, a)
+    if s is None:
+        return CongruenceSolution((), m)
+    d = math.gcd(n, group.phi)
+    h = pow(group.g, group.phi // d, m)
+    x = pow(group.g, s, m)
+    sols = []
+    for _ in range(d):
+        sols.append(x)
+        x = x * h % m
+    return CongruenceSolution(tuple(sorted(sols)), m)
 
 
 def is_qth_residue(a0: int, q: int, p: int) -> bool:

@@ -14,6 +14,8 @@ meaning "indistinguishable from zero at that precision".
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from .congruence import int_valuation, is_prime
 
@@ -59,6 +61,43 @@ def _from_digits(digits, p: int, powers: dict) -> int:
     return _from_digits(digits[:h], p, powers) + powers[h] * _from_digits(
         digits[h:], p, powers
     )
+
+
+# Rendering converts to base p**e, the largest power of p not above
+# _BLOCK, and looks each block's e digits up as text.
+_BLOCK = 1 << 10
+
+
+@lru_cache(maxsize=None)
+def _block_texts(p: int) -> tuple[int, tuple[str, ...]]:
+    """(e, texts) for p <= _BLOCK: e is the largest exponent with
+    p**e <= _BLOCK, and texts[v] is the e base-p digits of v < p**e, least
+    significant first, joined by commas."""
+    e = 1
+    while p ** (e + 1) <= _BLOCK:
+        e += 1
+    digits = [str(d) for d in range(p)]
+    return e, tuple(",".join(t[::-1]) for t in product(digits, repeat=e))
+
+
+def _digit_text(x: int, p: int, k: int) -> str:
+    """The k low base-p digits of x, least significant first, joined by
+    commas: e digits per block of base p**e for p <= _BLOCK, the last
+    partial block and every digit of a larger p one at a time."""
+    if p > _BLOCK:
+        out: list = []
+        _to_digits(x, p, k, out, {})
+        return ",".join(map(str, out))
+    e, texts = _block_texts(p)
+    whole, rest = divmod(k, e)
+    blocks: list = []
+    _to_digits(x, p**e, whole + (rest > 0), blocks, {})
+    top = blocks.pop() if rest else 0
+    parts = [texts[v] for v in blocks]
+    for _ in range(rest):
+        top, d = divmod(top, p)
+        parts.append(str(d))
+    return ",".join(parts)
 
 
 @dataclass(frozen=True)
@@ -306,7 +345,7 @@ class PAdic:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        return f"{self.gamma};" + ",".join(map(str, self.digits))
+        return f"{self.gamma};" + _digit_text(self.unit, self.p, self.precision)
 
     def __repr__(self) -> str:
         if self.is_zero:

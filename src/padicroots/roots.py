@@ -44,7 +44,7 @@ from .congruence import (
     find_primitive_root,
     int_valuation,
     is_qth_residue,
-    power_residue_solve,
+    power_residue_root,
 )
 from .padic_core import PAdic, PrecisionError
 
@@ -265,10 +265,20 @@ def _newton(x: int, q: int, u: int, p: int, n_digits: int) -> int:
     n_digits + c digits.  The loop ends once x^q = u (mod p**(n_digits+c))
     holds at full precision, and raises LiftContradictionError if that
     does not happen within _NEWTON_STEPS steps.
+
+    The step divides by the derivative q*x^(q-1) = p**c * m*y through w,
+    an inverse of m*y computed once at the seed's precision and refined by
+    one Newton step of its own, w <- w*(2 - m*y*w), per step.  If x agreed
+    with the root in j digits at the previous step, w was left exact mod
+    p**j there and y has moved by O(p**j) since, so the refinement makes w
+    exact mod p**(2j), at least the i digits x agrees in now.  f/p**c is
+    O(p**i), so w's error moves x by O(p**(2i)): x moves exactly as with
+    the true inverse mod p**k.
     """
     pc = p ** int_valuation(q, p)
     m = q // pc
     k = 2 if p == 2 else 1
+    w = pow(m * pow(x, q - 1, p**k), -1, p**k)
     for _ in range(_NEWTON_STEPS):
         k = min(n_digits, 2 * k - (p == 2))
         mod = p**k
@@ -276,7 +286,8 @@ def _newton(x: int, q: int, u: int, p: int, n_digits: int) -> int:
         f = (y * x - u) % (mod * pc)
         if f == 0 and k == n_digits:
             return x % mod
-        x = (x - f // pc * pow(m * y, -1, mod)) % mod
+        w = w * (2 - m * y * w) % mod
+        x = (x - f // pc * w) % mod
     raise LiftContradictionError(
         f"Newton lift of x^{q} = a did not settle in {_NEWTON_STEPS} steps"
     )
@@ -308,13 +319,12 @@ def _unit_roots(a: PAdic, q: int, n_digits: int) -> list[int]:
     elif m == 1:
         seed = a.unit % p
     else:
-        seeds = power_residue_solve(m, a.unit % p, p).representatives
-        if not seeds:
+        seed = power_residue_root(m, a.unit % p, p)
+        if seed is None:
             raise LiftContradictionError(
                 f"{a.unit % p} has no {m}-th root mod {p}; "
                 "criteria and lifting disagree"
             )
-        seed = seeds[0]
     seed_mod = p ** min(_power_depth(p, c), a.precision)
     if pow(seed, q, seed_mod) != a.unit % seed_mod:
         raise LiftContradictionError(
@@ -340,11 +350,17 @@ def _unit_roots(a: PAdic, q: int, n_digits: int) -> list[int]:
 
 def _checked(a: PAdic, q: int, n_digits: int, units) -> tuple[tuple, int]:
     """The roots p**(gamma/q) * r for the unit residues r, each checked
-    against a with one power, and the exponent k of r^q = a (mod p**k)."""
-    verify_k = a.gamma + n_digits + int_valuation(q, a.p)
-    roots = tuple(PAdic.from_unit(a.p, a.gamma // q, r, n_digits) for r in units)
+    against a with one power, and the exponent k of r^q = a (mod p**k).
+
+    Both sides of (p**(gamma/q) * r)^q = p**gamma * u have valuation
+    gamma, so the check is r^q = u on the residues, mod p**(k - gamma)."""
+    c = int_valuation(q, a.p)
+    verify_k = a.gamma + n_digits + c
+    mod = a.p ** (n_digits + c)
+    u = a.unit % mod
+    roots = tuple(PAdic(a.p, a.gamma // q, r, n_digits) for r in units)
     for r in roots:
-        if not r.pow_nat(q).eq_mod(a, verify_k):
+        if pow(r.unit, q, mod) != u:
             raise LiftContradictionError(
                 f"lifted value {r} fails r^{q} = a mod p^{verify_k}"
             )
@@ -360,8 +376,9 @@ def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
     Z_p^* = mu_(p-1) x (1 + pZ_p) the unit roots are r0 * zeta**k for one
     unit root r0 and zeta a primitive d-th root of unity, where
     d = gcd(q, p-1) for odd p and d = gcd(q, 2) for p = 2 (zeta = -1).
-    r0 is lifted from one seed: an m-th root of d0 = u mod p for odd p
-    (d0 itself when m = 1); 1 for even q and u mod 4 for odd q at p = 2.
+    r0 is lifted from one seed: for odd p, the m-th root g**s of
+    d0 = u mod p that one discrete log gives (power_residue_root; d0
+    itself when m = 1); 1 for even q and u mod 4 for odd q at p = 2.
     The seed must satisfy x^q = u (mod p**(c+1)), or mod 2**(c+2) at
     p = 2.  Newton steps at doubling precision then lift it until
     x^q = u (mod p**(n_digits+c)).  zeta is g**((p-1)/d) mod p, for g the

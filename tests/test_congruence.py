@@ -235,6 +235,7 @@ def test_power_residue_pinned():
 
 
 def test_power_residue_count_is_gcd_when_solvable():
+    # power_residue_root gives one of the solutions, or None for none
     for m in (7, 9, 11, 27, 31):
         phi = euler_phi(m)
         for n in range(1, 13):
@@ -242,20 +243,26 @@ def test_power_residue_count_is_gcd_when_solvable():
                 if math.gcd(a, m) != 1:
                     continue
                 sol = power_residue_solve(n, a, m)
+                root = congruence.power_residue_root(n, a, m)
                 if sol.solvable:
                     assert sol.count == math.gcd(n, phi)
+                    assert root in sol.representatives
+                else:
+                    assert root is None
 
 
 def test_power_residue_rejects_non_cyclic_modulus():
-    with pytest.raises(ValueError):
-        power_residue_solve(2, 1, 8)
-    with pytest.raises(ValueError):
-        power_residue_solve(2, 1, 12)
+    for solver in (power_residue_solve, congruence.power_residue_root):
+        with pytest.raises(ValueError):
+            solver(2, 1, 8)
+        with pytest.raises(ValueError):
+            solver(2, 1, 12)
 
 
 def test_power_residue_rejects_non_unit():
-    with pytest.raises(ValueError):
-        power_residue_solve(2, 7, 7)
+    for solver in (power_residue_solve, congruence.power_residue_root):
+        with pytest.raises(ValueError):
+            solver(2, 7, 7)
 
 
 def test_power_residue_exhaustive_all_cyclic_moduli():

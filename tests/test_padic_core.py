@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from padicroots import PAdic, PrecisionError, parse_value
 from padicroots.cli import PRECISION_CAP
-from padicroots.padic_core import _LEAF
+from padicroots.padic_core import _BLOCK, _LEAF
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -225,12 +225,25 @@ def test_str_round_trip_through_parser():
     assert parse_value(str(x), 7, 5) == x
 
 
+def block_digits(p: int) -> int:
+    """Digits per rendered block: the largest e with p**e <= _BLOCK, and 1
+    for p above it."""
+    e = 1
+    while p ** (e + 1) <= _BLOCK:
+        e += 1
+    return e
+
+
 def test_digit_conversion_matches_plain_loops():
-    # lengths on both sides of the split threshold and up to the CLI cap,
-    # against one divmod per digit and Horner's rule
+    # lengths on both sides of the split threshold, of the rendering
+    # blocks and up to the CLI cap, for p on both sides of the block
+    # table's bound, against one divmod per digit and Horner's rule
     rng = random.Random(41)
-    for p in (2, 5, 1009):
-        for k in (1, _LEAF - 1, _LEAF, _LEAF + 1, 4000, PRECISION_CAP):
+    for p in (2, 3, 5, 31, 37, 1009, 1031, 1_000_003):
+        e = block_digits(p)
+        lengths = {1, e - 1, e, e + 1, 64 * e - 1, 64 * e + 1}
+        lengths |= {_LEAF - 1, _LEAF, _LEAF + 1, 4000, PRECISION_CAP}
+        for k in sorted(lengths - {0}):
             digits = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(k - 1)]
             unit = 0
             for d in reversed(digits):

@@ -1,4 +1,4 @@
-"""Tests for solvability verdicts and digit-by-digit root extraction.
+"""Tests for solvability verdicts and Newton root lifting.
 
 Expected roots were frozen against the independent level-by-level search
 in bruteforce.digit_bfs_roots, which re-derives every digit from integer
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+import padicroots.congruence
 import padicroots.roots
 from padicroots import (
     LiftContradictionError,
@@ -320,6 +321,40 @@ def test_check_never_lifts(monkeypatch, capsys):
     assert cli_main(["check", "--p", "3", "--q", "6", "--val", "64"]) == 0
     out = capsys.readouterr().out
     assert "verdict: solvable" in out and "general_chain" in out
+
+
+def test_newton_inverts_only_at_the_seed_precision(monkeypatch):
+    # the derivative's inverse is refined by multiplications: every
+    # pow(., -1, M) the lift makes is at the seed's precision, M <= p^2
+    for p, q, root in ((2, 3, 3), (5, 4, 3)):
+        moduli = []
+
+        def counting_pow(base, exp, mod=None):
+            if exp == -1:
+                moduli.append(mod)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(padicroots.roots, "pow", counting_pow, raising=False)
+        a = PAdic.from_int(root**q, p, 4000 + bf.int_valuation(q, p))
+        rs = lift_roots(a, q, 4000)
+        monkeypatch.undo()
+        assert rs.observed_count == math.gcd(q, 2 if p == 2 else p - 1)
+        assert moduli and max(moduli) <= p**2, (p, q, moduli)
+
+
+def test_lift_seed_takes_one_discrete_log(monkeypatch, capsys):
+    # q = 166667 divides p - 1: the seed is g^s from one discrete log, not
+    # the first of the 166,667 solutions power_residue_solve would list
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lift must not list every m-th root")
+
+    monkeypatch.setattr(padicroots.congruence, "power_residue_solve", refuse)
+    monkeypatch.setattr(padicroots.roots, "power_residue_solve", refuse, raising=False)
+    argv = ["classify", "--p", "1000003", "--q", "166667", "--val", "5"]
+    assert cli_main([*argv, "--precision", "4"]) == 0
+    assert "y: 0;981639,523728,136694,2" in capsys.readouterr().out
+    rs = lift_roots(PAdic.from_int(1, 1000003, 4), 166667, 4)
+    assert rs.observed_count == 166667 and rs.roots[0].unit == 1
 
 
 # ---------------------------------------------------------------------------
