@@ -38,9 +38,7 @@ from .roots import (
     LiftContradictionError,
     RootSet,
     Verdict,
-    check_coprime,
     check_qp,
-    check_square,
     decide,
     lift_root,
     lift_roots,
@@ -82,9 +80,7 @@ __all__ = [
     "LiftContradictionError",
     "RootSet",
     "Verdict",
-    "check_coprime",
     "check_qp",
-    "check_square",
     "decide",
     "lift_root",
     "lift_roots",

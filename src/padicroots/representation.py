@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .congruence import find_primitive_root, index, is_prime
 from .padic_core import PAdic, PrecisionError
-from .roots import LiftContradictionError, decide, lift_root, _qp_digit_condition
+from .roots import LiftContradictionError, decide, lift_root
 
 FORM_QP = "q_equals_p"
 FORM_PLAIN = "coprime_plain"
@@ -125,9 +125,9 @@ def classify_coprime(x: PAdic, q: int) -> Decomposition:
 def classify_p(x: PAdic) -> Decomposition:
     """Decompose x as epsilon * p^j * y^p for odd p.
 
-    epsilon is 1 when the unit part passes the p-th power digit test,
-    otherwise the integer d0 + d1*p (which then lies in epsilon_set(p));
-    j is the valuation mod p.
+    epsilon is 1 when decide finds the unit part a p-th power (the q = p
+    digit test), otherwise the integer d0 + d1*p (which then lies in
+    epsilon_set(p)); j is the valuation mod p.
     """
     if x.is_zero:
         raise ValueError("cannot decompose zero")
@@ -136,10 +136,9 @@ def classify_p(x: PAdic) -> Decomposition:
         raise ValueError("the q = p classifier is only defined for odd p")
     if x.precision < 2:
         raise PrecisionError("decomposition reads two digits; need precision >= 2")
-    d = x.digits_to(2)
     j = x.gamma % p
     n_digits = x.precision
-    eps_int = 1 if _qp_digit_condition(p, d[0], d[1]) else d[0] + d[1] * p
+    eps_int = 1 if decide(x.unit_part(), p).solvable else x.unit % (p * p)
     eps = PAdic.from_int(eps_int, p, n_digits)
     y = lift_root(x.shift(-j).div(eps), p, n_digits - 1)
     return Decomposition(FORM_QP, eps, j, y, p, epsilon_int=eps_int)

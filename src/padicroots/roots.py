@@ -1,32 +1,36 @@
 """Solvability verdicts and Newton root lifting for x^q = a over the
 p-adic numbers.
 
-decide(a, q) is the one verdict entry point.  It splits by the shape of q
-relative to p, and the first three cases are the paper's digit criteria:
+decide(a, q) is the one verdict entry point, and it holds the one
+criterion that Z_p^* = mu_(p-1) x (1 + pZ_p) gives for every q.  Write
+q = m * p**c with p not dividing m and a = p**gamma * u; x^q = a is then
+a chain of links, y**m = a followed by c successive p-th roots, each
+decided in closed form:
+
+  x^m link      (m > 1)  m divides gamma and the first digit of u is an
+                m-th power residue mod p.  For p = 2, m is odd and odd
+                powers reach every unit, so only the valuation counts.
+  p-th root     (link i = 1..c)  p divides gamma / (m * p**(i-1)), and
+  link i        u**(p-1) = 1 (mod p**(i+1)) for odd p, or u = 1
+                (mod 2**(i+2)) for p = 2.
+
+The verdict reports the first link that fails.  The paper's three
+criteria are the one-link cases, and each keeps its own wording:
 
   square        q = 2.  For odd p: the valuation must be even and the first
                 digit a quadratic residue mod p.  For p = 2: the valuation
                 must be even and the digits at positions 1 and 2 must both
-                vanish.
+                vanish (u = 1 mod 8).
   coprime       gcd(q, p) = 1.  The valuation must be divisible by q and
                 the first digit must be a q-th power residue mod p (for
                 p = 2 the residue condition is vacuous: odd q-th powers hit
                 every unit digit).
   q_equals_p    q = p odd.  The valuation must be divisible by p and the
-                digit condition d0**p = d0 + d1*p (mod p**2) must hold;
-                necessity also forces the root's first digit to equal d0.
-                Deliberately not used at p = 2, where it would wrongly
-                accept values such as 5; the square criterion is used
-                instead.
-  general_chain q = m * p**c with c >= 1 and q not in the cases above.
-                Writing y = x**(p**c) reduces to y**m = a followed by c
-                successive p-th root links.  Z_p^* = mu_(p-1) x (1 + pZ_p)
-                decides every link in closed form from a = p**gamma * u:
-                link i needs gamma / (m * p**(i-1)) divisible by p and
-                u**(p-1) = 1 (mod p**(i+1)) for odd p, or u = 1
-                (mod 2**(i+2)) for p = 2.  For i = 1 and m = 1 these are
-                the q_equals_p and square digit conditions.  The verdict
-                reports the first link that fails.
+                digit condition d0**p = d0 + d1*p (mod p**2) must hold,
+                which is u**(p-1) = 1 (mod p**2).  check_qp is this case
+                alone, and refuses p = 2, where the digit test would
+                wrongly accept values such as 5.
+  general_chain every other q.  A failure names its link as chain_step k.
 
 lift_roots then lifts one root by Newton iteration at doubling precision
 and multiplies it by the roots of unity of Q_p (Z_p^* = mu_(p-1) x
@@ -93,98 +97,14 @@ def _require_nonzero(a: PAdic) -> None:
         raise ValueError("zero input: x^q = 0 has only the zero root")
 
 
-def _qp_digit_condition(p: int, d0: int, d1: int) -> bool:
-    return pow(d0, p, p * p) == (d0 + d1 * p) % (p * p)
-
-
-def check_square(a: PAdic) -> Verdict:
-    """Solvability of x^2 = a."""
-    _require_nonzero(a)
-    p = a.p
-    if a.gamma % 2 != 0:
-        return Verdict(
-            False, CASE_SQUARE, COND_VALUATION, f"valuation {a.gamma} is odd"
-        )
-    if p == 2:
-        d = a.digits_to(3)
-        if d[1] != 0 or d[2] != 0:
-            return Verdict(
-                False,
-                CASE_SQUARE,
-                COND_DIGITS,
-                f"digits at positions 1,2 are {d[1]},{d[2]}; both must be 0",
-            )
-        return Verdict(True, CASE_SQUARE, None, "unit part is 1 mod 8")
-    d0 = a.unit % p
-    if not is_qth_residue(d0, 2, p):
-        return Verdict(
-            False,
-            CASE_SQUARE,
-            COND_RESIDUE,
-            f"first digit {d0} is not a quadratic residue mod {p}",
-        )
-    return Verdict(True, CASE_SQUARE, None, f"{d0} is a quadratic residue mod {p}")
-
-
-def check_coprime(a: PAdic, q: int) -> Verdict:
-    """Solvability of x^q = a when gcd(q, p) = 1."""
-    _require_nonzero(a)
-    p = a.p
-    if q < 2:
-        raise ValueError("exponent must be at least 2")
-    if math.gcd(q, p) != 1:
-        raise ValueError(f"exponent {q} is not coprime to p={p}")
-    if a.gamma % q != 0:
-        return Verdict(
-            False,
-            CASE_COPRIME,
-            COND_VALUATION,
-            f"valuation {a.gamma} is not divisible by {q}",
-        )
-    if p == 2:
-        return Verdict(
-            True, CASE_COPRIME, None, "odd exponent powers reach every 2-adic unit"
-        )
-    d0 = a.unit % p
-    if not is_qth_residue(d0, q, p):
-        return Verdict(
-            False,
-            CASE_COPRIME,
-            COND_RESIDUE,
-            f"first digit {d0} is not a {q}-th power residue mod {p}",
-        )
-    return Verdict(
-        True, CASE_COPRIME, None, f"{d0} is a {q}-th power residue mod {p}"
-    )
-
-
 def check_qp(a: PAdic) -> Verdict:
-    """Solvability of x^p = a for odd p.  Refuses p = 2: the digit test
-    below is wrong there (it would accept 5), so 2-adic callers must take
-    the square route."""
+    """Solvability of x^p = a for odd p: decide(a, p).  Refuses p = 2,
+    where the paper's q = p digit test would wrongly accept 5 and x^2 is
+    decided by the square criterion instead."""
     _require_nonzero(a)
-    p = a.p
-    if p == 2:
+    if a.p == 2:
         raise ValueError("the q = p criterion is only valid for odd p")
-    if a.gamma % p != 0:
-        return Verdict(
-            False,
-            CASE_QP,
-            COND_VALUATION,
-            f"valuation {a.gamma} is not divisible by {p}",
-        )
-    d = a.digits_to(2)
-    if not _qp_digit_condition(p, d[0], d[1]):
-        return Verdict(
-            False,
-            CASE_QP,
-            COND_DIGITS,
-            f"{d[0]}^{p} = {pow(d[0], p, p * p)} (mod {p * p}) but the first two "
-            f"digits give {d[0] + d[1] * p}",
-        )
-    return Verdict(
-        True, CASE_QP, None, f"{d[0]}^{p} = {d[0]} + {d[1]}*{p} (mod {p * p})"
-    )
+    return decide(a, a.p)
 
 
 def _power_depth(p: int, c: int) -> int:
@@ -194,60 +114,108 @@ def _power_depth(p: int, c: int) -> int:
     return c + 2 if p == 2 else c + 1
 
 
+def _require_digits(a: PAdic, q: int, need: int) -> None:
+    if a.precision < need:
+        raise PrecisionError(
+            f"deciding x^{q} over the {a.p}-adics needs the value known to "
+            f"{need} digits, have {a.precision}"
+        )
+
+
+def _valuation_witness(g: int, e: int, odd: bool) -> str:
+    return f"valuation {g} is {'odd' if odd else f'not divisible by {e}'}"
+
+
+def _refusal(case: str, step: int, e: int, condition: str, witness: str) -> Verdict:
+    """A failed x^e link: in the paper's words when it is the only link,
+    named by its place when it is link `step` of a chain."""
+    if case == CASE_CHAIN:
+        return Verdict(False, case, f"chain_step {step}", f"x^{e} link: {witness}")
+    return Verdict(False, case, condition, witness)
+
+
 def decide(a: PAdic, q: int) -> Verdict:
     """Decide x^q = a without constructing any root.
 
-    q = 2, gcd(q, p) = 1 and q = p (odd p) are the paper's digit criteria
-    check_square, check_coprime and check_qp.  Any other q = m * p**c
-    with c >= 1 is a chain of links, decided in closed form from
-    a = p**gamma * u: link 1, present when m > 1, is the check for
-    x^m = a; p-th root link i (i = 1..c) then needs gamma / (m * p**(i-1))
-    divisible by p and u**(p-1) = 1 (mod p**(i+1)) for odd p, or
-    u = 1 (mod 2**(i+2)) for p = 2.  A failure reports its link as
-    chain_step k and names the failing quantity in details.
+    Write q = m * p**c with p not dividing m, and a = p**gamma * u.  The
+    verdict walks the links of q in order: an x^m link when m > 1, which
+    needs m to divide gamma and the first digit d0 of u to be an m-th
+    power residue mod p (vacuous at p = 2, where m is odd); then p-th
+    root link i = 1..c, which needs gamma / (m * p**(i-1)) divisible by p
+    and u**(p-1) = 1 (mod p**(i+1)) for odd p, or u = 1 (mod 2**(i+2))
+    for p = 2.  The first link that fails decides.
+
+    q = 2, gcd(q, p) = 1 and q = p are the one-link cases, the paper's
+    square, coprime and q = p criteria, and report in their own words;
+    q = p reads its two digits only once the valuation test has passed.
+    Any other q is a chain: it first needs the value known to the digits
+    its last link reads, and a failure names its link as chain_step k.
     """
     _require_nonzero(a)
     if q < 2:
         raise ValueError("exponent must be at least 2")
-    p = a.p
+    p, g, u = a.p, a.gamma, a.unit
     c = int_valuation(q, p)
-    if q == 2:
-        return check_square(a)
-    if c == 0:
-        return check_coprime(a, q)
-    if q == p:
-        return check_qp(a)
     m = q // p**c
+    if q == 2:
+        case = CASE_SQUARE
+    elif c == 0:
+        case = CASE_COPRIME
+    elif q == p:
+        case = CASE_QP
+    else:
+        case = CASE_CHAIN
+    chain = case == CASE_CHAIN
     need = _power_depth(p, c)
-    if a.precision < need:
-        raise PrecisionError(
-            f"deciding x^{q} over the {p}-adics needs the value known to "
-            f"{need} digits, have {a.precision}"
-        )
-    step = 0
+    if chain:
+        _require_digits(a, q, need)
+
+    d0 = u % p
     if m > 1:
-        step = 1
-        first = check_square(a) if m == 2 else check_coprime(a, m)
-        if not first.solvable:
-            return Verdict(
-                False, CASE_CHAIN, "chain_step 1", f"x^{m} link: {first.details}"
-            )
+        if g % m != 0:
+            witness = _valuation_witness(g, m, m == 2)
+            return _refusal(case, 1, m, COND_VALUATION, witness)
+        residue = "quadratic residue" if m == 2 else f"{m}-th power residue"
+        if p != 2 and not is_qth_residue(d0, m, p):
+            witness = f"first digit {d0} is not a {residue} mod {p}"
+            return _refusal(case, 1, m, COND_RESIDUE, witness)
+        if c == 0:
+            if p == 2:
+                witness = "odd exponent powers reach every 2-adic unit"
+            else:
+                witness = f"{d0} is a {residue} mod {p}"
+            return Verdict(True, case, None, witness)
     for i in range(1, c + 1):
-        step += 1
-        g = a.gamma // (m * p ** (i - 1))
+        step = i + (m > 1)
+        gi = g // (m * p ** (i - 1))
+        if gi % p != 0:
+            witness = _valuation_witness(gi, p, q == 2)
+            return _refusal(case, step, p, COND_VALUATION, witness)
+        _require_digits(a, q, need)  # the one-link case reads digits from here
         k = _power_depth(p, i)
-        r = pow(a.unit, p - 1, p**k)  # u itself when p = 2
-        if g % p != 0:
-            witness = f"valuation {g} is not divisible by {p}"
-        elif r != 1:
+        r = pow(u, p - 1, p**k)  # u itself when p = 2
+        if r == 1:
+            continue
+        if chain:
             power = "u" if p == 2 else f"u^{p - 1}"
             witness = f"{power} = {r} (mod {p}^{k}), must be 1"
+        elif p == 2:
+            witness = (
+                f"digits at positions 1,2 are {u >> 1 & 1},{u >> 2 & 1}; "
+                "both must be 0"
+            )
         else:
-            continue
-        return Verdict(
-            False, CASE_CHAIN, f"chain_step {step}", f"x^{p} link: {witness}"
-        )
-    return Verdict(True, CASE_CHAIN, None, f"all {step} links solvable")
+            witness = (
+                f"{d0}^{p} = {pow(d0, p, p * p)} (mod {p * p}) but the first two "
+                f"digits give {u % (p * p)}"
+            )
+        return _refusal(case, step, p, COND_DIGITS, witness)
+    if chain:
+        return Verdict(True, case, None, f"all {c + (m > 1)} links solvable")
+    if p == 2:
+        return Verdict(True, case, None, "unit part is 1 mod 8")
+    witness = f"{d0}^{p} = {d0} + {u // p % p}*{p} (mod {p * p})"
+    return Verdict(True, case, None, witness)
 
 
 # Each Newton step at least about doubles the digits known, so this many

@@ -390,6 +390,19 @@ def test_error_precision_cap(capsys):
     assert code == 2
 
 
+def test_error_square_digits_share_the_chain_message(capsys):
+    # x^2 and x^4 over the 2-adics read their digits under one rule and
+    # say so in one wording
+    for q, need in (("2", 3), ("4", 4)):
+        code = main(["check", "--p", "2", "--q", q, "--val", "5", "--precision", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: deciding x^{q} over the 2-adics needs the value known to "
+            f"{need} digits, have {need - 1}\n"
+        )
+
+
 def test_error_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -14,11 +14,10 @@ import pytest
 import bruteforce as bf
 from padicroots import (
     PAdic,
-    check_coprime,
     check_qp,
-    check_square,
     classify_coprime,
     classify_p,
+    decide,
     derived_epsilon_set,
     epsilon_set,
     find_nonresidue_unit,
@@ -113,7 +112,7 @@ def test_find_nonresidue_unit_requires_qk_plus_1():
 def test_find_nonresidue_is_not_a_power():
     for p, q in ((7, 3), (13, 3), (11, 5), (31, 5)):
         eta = find_nonresidue_unit(p, q)
-        assert not check_coprime(eta, q).solvable
+        assert not decide(eta, q).solvable
 
 
 @pytest.mark.parametrize("p,q", [(7, 3), (13, 3), (11, 5), (7, 2), (11, 2)])

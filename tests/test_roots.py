@@ -15,15 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+import padicroots
 import padicroots.congruence
 import padicroots.roots
 from padicroots import (
     LiftContradictionError,
     PAdic,
     PrecisionError,
-    check_coprime,
+    Verdict,
     check_qp,
-    check_square,
     decide,
     lift_roots,
     solve,
@@ -35,42 +35,48 @@ def unit_value(p: int, gamma: int, unit: int, precision: int) -> PAdic:
     return PAdic.from_unit(p, gamma, unit, precision)
 
 
+def test_package_exports_resolve_once():
+    names = padicroots.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(padicroots, n)] == []
+
+
 # ---------------------------------------------------------------------------
 # square criterion
 
 
 def test_square_solvable_quadratic_residue():
-    v = check_square(PAdic.from_int(2, 7, 6))
+    v = decide(PAdic.from_int(2, 7, 6), 2)
     assert v.solvable and v.case_used == "square" and v.failed_condition is None
 
 
 def test_square_odd_valuation_fails():
-    v = check_square(PAdic.from_int(5, 5, 6))
+    v = decide(PAdic.from_int(5, 5, 6), 2)
     assert not v.solvable
     assert v.failed_condition == "valuation_not_divisible"
 
 
 def test_square_nonresidue_fails():
-    v = check_square(PAdic.from_int(3, 7, 6))  # squares mod 7: 1, 2, 4
+    v = decide(PAdic.from_int(3, 7, 6), 2)  # squares mod 7: 1, 2, 4
     assert not v.solvable
     assert v.failed_condition == "residue_condition"
 
 
 def test_square_q2_seventeen_solvable():
     # 17 = 1 + 0*2 + 0*4 + 0*8 + 16: both low digits above the unit vanish
-    v = check_square(PAdic.from_int(17, 2, 6))
+    v = decide(PAdic.from_int(17, 2, 6), 2)
     assert v.solvable
 
 
 def test_square_q2_five_fails_digit_condition():
-    v = check_square(PAdic.from_int(5, 2, 6))
+    v = decide(PAdic.from_int(5, 2, 6), 2)
     assert not v.solvable
     assert v.failed_condition == "digit_condition_p2"
 
 
 def test_square_zero_rejected():
     with pytest.raises(ValueError):
-        check_square(PAdic.zero(5, 3))
+        decide(PAdic.zero(5, 3), 2)
 
 
 def test_square_matches_enumeration_all_units():
@@ -78,7 +84,7 @@ def test_square_matches_enumeration_all_units():
     for p in (3, 5, 7, 11, 13):
         squares = {pow(x, 2, p) for x in range(1, p)}
         for u in range(1, p):
-            v = check_square(unit_value(p, 0, u, 4))
+            v = decide(unit_value(p, 0, u, 4), 2)
             assert v.solvable == (u in squares)
 
 
@@ -87,10 +93,10 @@ def test_square_matches_enumeration_all_units():
 
 
 def test_coprime_pinned_cases():
-    assert check_coprime(PAdic.from_int(2, 5, 6), 3).solvable
-    v = check_coprime(PAdic.from_int(2, 7, 6), 3)
+    assert decide(PAdic.from_int(2, 5, 6), 3).solvable
+    v = decide(PAdic.from_int(2, 7, 6), 3)
     assert not v.solvable and v.failed_condition == "residue_condition"
-    v = check_coprime(PAdic.from_int(7 * 3, 7, 6), 3)
+    v = decide(PAdic.from_int(7 * 3, 7, 6), 3)
     assert not v.solvable and v.failed_condition == "valuation_not_divisible"
 
 
@@ -101,20 +107,7 @@ def test_coprime_q2_base2_always_unit_solvable():
         for _ in range(20):
             u = rng.randrange(1, 2**8, 2)
             a = unit_value(2, q * rng.randrange(-2, 3), u, 8)
-            assert check_coprime(a, q).solvable
-
-
-def test_coprime_rejects_shared_factor():
-    with pytest.raises(ValueError):
-        check_coprime(PAdic.from_int(2, 5, 4), 10)
-
-
-def test_coprime_agrees_with_square_for_q2():
-    for p in (3, 5, 7, 11, 13):
-        for u in range(1, p):
-            for gamma in (-2, -1, 0, 1, 2):
-                a = unit_value(p, gamma, u, 4)
-                assert check_coprime(a, 2).solvable == check_square(a).solvable
+            assert decide(a, q).solvable
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +292,74 @@ def test_solve_verdict_shape_invariants():
             assert verdict.failed_condition is None and rs is not None
         else:
             assert rs is None and verdict.failed_condition
+
+
+def _verdict_row(p, q, gamma, unit, expected):
+    """One row of test_verdict_text_pinned: x^q = p**gamma * unit, known
+    to 6 digits, and its whole expected Verdict."""
+    return pytest.param(p, q, gamma, unit, Verdict(*expected), id=f"p{p}-q{q}-{unit}")
+
+
+def _digit(u, p, i):
+    return u // p**i % p
+
+
+# Every expected string is built from plain integers: the residues are the
+# values of the row's unit, the digits are peeled off by division.
+VERDICT_TEXT_ROWS = [
+    # square, odd p
+    _verdict_row(5, 2, 1, 1, (False, "square", "valuation_not_divisible",
+                              "valuation 1 is odd")),
+    _verdict_row(7, 2, 0, 3, (False, "square", "residue_condition",
+                              "first digit 3 is not a quadratic residue mod 7")),
+    _verdict_row(7, 2, 0, 2 + 5 * 7, (True, "square", None,
+                                      "2 is a quadratic residue mod 7")),
+    # square, p = 2
+    _verdict_row(2, 2, 3, 1, (False, "square", "valuation_not_divisible",
+                              "valuation 3 is odd")),
+    _verdict_row(2, 2, 0, 13, (False, "square", "digit_condition_p2",
+                               f"digits at positions 1,2 are {_digit(13, 2, 1)},"
+                               f"{_digit(13, 2, 2)}; both must be 0")),
+    _verdict_row(2, 2, 2, 17 + 32, (True, "square", None, "unit part is 1 mod 8")),
+    # coprime
+    _verdict_row(7, 3, 1, 3, (False, "coprime", "valuation_not_divisible",
+                              "valuation 1 is not divisible by 3")),
+    _verdict_row(7, 3, 0, 2, (False, "coprime", "residue_condition",
+                              "first digit 2 is not a 3-th power residue mod 7")),
+    _verdict_row(7, 3, 3, pow(3, 3, 7**6), (True, "coprime", None,
+                                            f"{pow(3, 3, 7)} is a 3-th power "
+                                            "residue mod 7")),
+    _verdict_row(2, 3, -3, 5, (True, "coprime", None,
+                               "odd exponent powers reach every 2-adic unit")),
+    # q = p
+    _verdict_row(5, 5, 2, 7, (False, "q_equals_p", "valuation_not_divisible",
+                              "valuation 2 is not divisible by 5")),
+    _verdict_row(5, 5, 0, 12, (False, "q_equals_p", "digit_condition_p2",
+                               f"2^5 = {pow(2, 5, 25)} (mod 25) but the first two "
+                               f"digits give {12 % 25}")),
+    _verdict_row(7, 7, 7, pow(3, 7, 7**6), (True, "q_equals_p", None,
+                                            f"3^7 = 3 + "
+                                            f"{_digit(pow(3, 7, 7**6), 7, 1)}*7 "
+                                            "(mod 49)")),
+    # chain: the wrapped x^m link, a p-th root link, and success
+    _verdict_row(5, 10, 3, 1, (False, "general_chain", "chain_step 1",
+                               "x^2 link: valuation 3 is odd")),
+    _verdict_row(7, 14, 0, 3, (False, "general_chain", "chain_step 1",
+                               "x^2 link: first digit 3 is not a quadratic "
+                               "residue mod 7")),
+    _verdict_row(2, 12, 0, 5, (False, "general_chain", "chain_step 2",
+                               f"x^2 link: u = {5 % 8} (mod 2^3), must be 1")),
+    _verdict_row(5, 20, 0, 6, (False, "general_chain", "chain_step 2",
+                               f"x^5 link: u^4 = {pow(6, 4, 25)} (mod 5^2), "
+                               "must be 1")),
+    _verdict_row(7, 98, 98, pow(3, 98, 7**6), (True, "general_chain", None,
+                                               "all 3 links solvable")),
+]
+
+
+@pytest.mark.parametrize("p,q,gamma,unit,expected", VERDICT_TEXT_ROWS)
+def test_verdict_text_pinned(p, q, gamma, unit, expected):
+    assert decide(PAdic.from_unit(p, gamma, unit, 6), q) == expected
 
 
 def test_decide_chain_names_witness():
