@@ -104,21 +104,20 @@ def _emit(args, plain_lines, payload) -> str:
     return "\n".join(plain_lines)
 
 
-def _parse_target(args, extra_digits: int) -> PAdic:
+def _parse_equation(args) -> PAdic:
+    """The value of x^q = val, read to precision + v_p(q) digits: the lift
+    reads v_p(q) digits beyond those of the roots."""
+    if args.q < 2:
+        raise ValueError("exponent q must be at least 2")
     if not is_prime(args.p):
         raise ValueError(f"p must be prime, got {args.p}")
     if not 1 <= args.precision <= PRECISION_CAP:
         raise ValueError(f"precision must be in [1, {PRECISION_CAP}]")
+    extra_digits = int_valuation(args.q, args.p)
     a = parse_value(args.val, args.p, args.precision + extra_digits)
     if a.is_zero:
         raise ValueError("zero target: x^q = 0 has only the zero root")
     return a
-
-
-def _parse_equation(args) -> PAdic:
-    if args.q < 2:
-        raise ValueError("exponent q must be at least 2")
-    return _parse_target(args, int_valuation(args.q, args.p))
 
 
 def _verdict_report(args, a: PAdic, verdict) -> tuple[list[str], dict]:
@@ -180,7 +179,7 @@ def cmd_root(args) -> str:
 
 
 def cmd_classify(args) -> str:
-    a = _parse_target(args, 1 if args.q == args.p else 0)
+    a = _parse_equation(args)
     if args.q == args.p:
         dec = classify_p(a)
     elif args.q < args.p:

@@ -32,13 +32,14 @@ criteria are the one-link cases, and each keeps its own wording:
                 wrongly accept values such as 5.
   general_chain every other q.  A failure names its link as chain_step k.
 
-lift_roots then lifts one root by Newton iteration at doubling precision
-and multiplies it by the roots of unity of Q_p (Z_p^* = mu_(p-1) x
-(1 + pZ_p), so every other root is that one times a root of unity);
-lift_root returns the least of those roots alone.  solve is decide
-followed by lift_roots.  If the criteria say solvable and the lift then
-fails, the two halves of the theory disagree, which is a fatal internal
-error raised as LiftContradictionError (never swallowed).
+lift_roots then lifts one root by one run of Newton steps at doubling
+precision and multiplies it by the roots of unity of Q_p (Z_p^* =
+mu_(p-1) x (1 + pZ_p), so every other root is that one times a root of
+unity); lift_root returns the least of those roots alone.  Each returned
+root is checked against a once, and the lifted root of unity once.  solve
+is decide followed by lift_roots.  If the criteria say solvable and the
+lift then fails, the two halves of the theory disagree, which is a fatal
+internal error raised as LiftContradictionError (never swallowed).
 """
 
 import math
@@ -79,12 +80,14 @@ class Verdict:
 @dataclass(frozen=True)
 class RootSet:
     """All roots found, sorted by unit residue; expected_count is the
-    group-theoretic count gcd(q, p-1) when that applies (units, gcd(q,p)=1)
-    and None when no count is claimed.  Every root was checked to satisfy
+    number d = #mu_q(Q_p) of q-th roots of unity in Q_p, gcd(q, p-1) for
+    odd p and gcd(q, 2) for p = 2, for every q.  The roots are distinct to
+    any precision except one digit at p = 2, where r and -r print alike
+    and observed_count is 1.  Every root was checked once to satisfy
     r^q = a (mod p^verify_k) before it was returned."""
 
     roots: tuple[PAdic, ...]
-    expected_count: int | None
+    expected_count: int
     verify_k: int
 
     @property
@@ -92,16 +95,28 @@ class RootSet:
         return len(self.roots)
 
 
-def _require_nonzero(a: PAdic) -> None:
+def _split(a: PAdic, q: int) -> tuple[int, int]:
+    """(c, m) with q = m * p**c and p not dividing m, for a != 0, q >= 2."""
     if a.is_zero:
         raise ValueError("zero input: x^q = 0 has only the zero root")
+    if q < 2:
+        raise ValueError("exponent must be at least 2")
+    c = int_valuation(q, a.p)
+    return c, q // a.p**c
+
+
+def _require_digits(a: PAdic, need: int, doing: str) -> None:
+    if a.precision < need:
+        raise PrecisionError(
+            f"{doing} needs the value known to {need} digits, have {a.precision}"
+        )
 
 
 def check_qp(a: PAdic) -> Verdict:
     """Solvability of x^p = a for odd p: decide(a, p).  Refuses p = 2,
     where the paper's q = p digit test would wrongly accept 5 and x^2 is
     decided by the square criterion instead."""
-    _require_nonzero(a)
+    _split(a, a.p)
     if a.p == 2:
         raise ValueError("the q = p criterion is only valid for odd p")
     return decide(a, a.p)
@@ -112,14 +127,6 @@ def _power_depth(p: int, c: int) -> int:
     (c >= 1): it is one exactly when u**(p-1) = 1 (mod p**(c+1)) for odd
     p, or u = 1 (mod 2**(c+2)) for p = 2."""
     return c + 2 if p == 2 else c + 1
-
-
-def _require_digits(a: PAdic, q: int, need: int) -> None:
-    if a.precision < need:
-        raise PrecisionError(
-            f"deciding x^{q} over the {a.p}-adics needs the value known to "
-            f"{need} digits, have {a.precision}"
-        )
 
 
 def _valuation_witness(g: int, e: int, odd: bool) -> str:
@@ -151,12 +158,8 @@ def decide(a: PAdic, q: int) -> Verdict:
     Any other q is a chain: it first needs the value known to the digits
     its last link reads, and a failure names its link as chain_step k.
     """
-    _require_nonzero(a)
-    if q < 2:
-        raise ValueError("exponent must be at least 2")
+    c, m = _split(a, q)
     p, g, u = a.p, a.gamma, a.unit
-    c = int_valuation(q, p)
-    m = q // p**c
     if q == 2:
         case = CASE_SQUARE
     elif c == 0:
@@ -167,8 +170,9 @@ def decide(a: PAdic, q: int) -> Verdict:
         case = CASE_CHAIN
     chain = case == CASE_CHAIN
     need = _power_depth(p, c)
+    what = f"deciding x^{q} over the {p}-adics"
     if chain:
-        _require_digits(a, q, need)
+        _require_digits(a, need, what)
 
     d0 = u % p
     if m > 1:
@@ -191,7 +195,7 @@ def decide(a: PAdic, q: int) -> Verdict:
         if gi % p != 0:
             witness = _valuation_witness(gi, p, q == 2)
             return _refusal(case, step, p, COND_VALUATION, witness)
-        _require_digits(a, q, need)  # the one-link case reads digits from here
+        _require_digits(a, need, what)  # the one-link case reads digits from here
         k = _power_depth(p, i)
         r = pow(u, p - 1, p**k)  # u itself when p = 2
         if r == 1:
@@ -218,21 +222,16 @@ def decide(a: PAdic, q: int) -> Verdict:
     return Verdict(True, case, None, witness)
 
 
-# Each Newton step at least about doubles the digits known, so this many
-# steps cover any precision that fits in memory.
-_NEWTON_STEPS = 64
-
-
-def _newton(x: int, q: int, u: int, p: int, n_digits: int) -> int:
-    """Lift x to the root of x^q = u it approximates, mod p**n_digits.
+def _newton(x: int, q: int, u: int, p: int, n_digits: int, c: int) -> int:
+    """Lift x to the root of x^q = u it approximates, mod p**n_digits,
+    where c = v_p(q).
 
     x must agree with that root in its first digit (first two at p = 2).
     Newton's step x <- x - (x^q - u)/(q*x^(q-1)) then doubles the digits
-    that agree (2k - 1 of k at p = 2), so step i works modulo p**(k_i + c),
-    c = v_p(q), with k_i doubling up to n_digits; u must be known to
-    n_digits + c digits.  The loop ends once x^q = u (mod p**(n_digits+c))
-    holds at full precision, and raises LiftContradictionError if that
-    does not happen within _NEWTON_STEPS steps.
+    that agree (2k - 1 of k at p = 2), so step i works modulo p**(k_i + c)
+    with k_i doubling up to n_digits; u must be known to n_digits + c
+    digits.  The schedule runs once and the lift returns: it checks
+    nothing, and the callers check what it returns.
 
     The step divides by the derivative q*x^(q-1) = p**c * m*y through w,
     an inverse of m*y computed once at the seed's precision and refined by
@@ -243,45 +242,35 @@ def _newton(x: int, q: int, u: int, p: int, n_digits: int) -> int:
     O(p**i), so w's error moves x by O(p**(2i)): x moves exactly as with
     the true inverse mod p**k.
     """
-    pc = p ** int_valuation(q, p)
+    pc = p**c
     m = q // pc
     k = 2 if p == 2 else 1
     w = pow(m * pow(x, q - 1, p**k), -1, p**k)
-    for _ in range(_NEWTON_STEPS):
+    while k < n_digits:
         k = min(n_digits, 2 * k - (p == 2))
         mod = p**k
         y = pow(x, q - 1, mod * pc)
         f = (y * x - u) % (mod * pc)
-        if f == 0 and k == n_digits:
-            return x % mod
         w = w * (2 - m * y * w) % mod
         x = (x - f // pc * w) % mod
-    raise LiftContradictionError(
-        f"Newton lift of x^{q} = a did not settle in {_NEWTON_STEPS} steps"
-    )
+    return x % p**n_digits
 
 
-def _unit_roots(a: PAdic, q: int, n_digits: int) -> list[int]:
-    """The unit parts of every root of x^q = a, mod p**n_digits, sorted:
-    one Newton lift of one seed, times the roots of unity of Q_p that
-    x^q cannot tell apart."""
-    _require_nonzero(a)
-    if q < 2:
-        raise ValueError("exponent must be at least 2")
+def _unit_roots(a: PAdic, q: int, n_digits: int) -> tuple[list[int], int, int]:
+    """The unit parts of every root of x^q = a, mod p**n_digits, sorted,
+    with the c = v_p(q) and the root count d they were built with: one
+    Newton lift of one seed, times the d-th roots of unity of Q_p that
+    x^q cannot tell apart.  The lifted root of unity zeta is checked once,
+    zeta^d = 1 (mod p**n_digits); the roots are left to _checked."""
+    c, m = _split(a, q)
     if n_digits < 1:
         raise ValueError("need at least one digit")
     p = a.p
-    c = int_valuation(q, p)
     if a.gamma % q != 0:
         raise LiftContradictionError(
             f"lift invoked with valuation {a.gamma} not divisible by {q}"
         )
-    if a.precision < n_digits + c:
-        raise PrecisionError(
-            f"lifting {n_digits} digits needs the target known to "
-            f"{n_digits + c} digits, have {a.precision}"
-        )
-    m = q // p**c
+    _require_digits(a, n_digits + c, f"lifting {n_digits} digits")
     if p == 2:
         seed = 1 if q % 2 == 0 else a.unit % 4
     elif m == 1:
@@ -300,29 +289,32 @@ def _unit_roots(a: PAdic, q: int, n_digits: int) -> list[int]:
             "criteria and lifting disagree"
         )
     mod = p**n_digits
-    x = _newton(seed, q, a.unit % (mod * p**c), p, n_digits)
+    x = _newton(seed, q, a.unit % (mod * p**c), p, n_digits, c)
     # mu(Q_p) is mu_(p-1) for odd p and {1, -1} for p = 2; its d-th roots
     # of unity are the powers of zeta
     d = math.gcd(q, 2 if p == 2 else p - 1)
     if d > 2:
         z = pow(find_primitive_root(p), (p - 1) // d, p)
-        zeta = _newton(z, d, 1, p, n_digits)
+        zeta = _newton(z, d, 1, p, n_digits, 0)
+        if pow(zeta, d, mod) != 1:
+            raise LiftContradictionError(
+                f"lifted root of unity {zeta} fails x^{d} = 1 (mod {p}^{n_digits})"
+            )
     else:
         zeta = mod - 1
     units = {x}
     for _ in range(d - 1):
         x = x * zeta % mod
         units.add(x)
-    return sorted(units)
+    return sorted(units), c, d
 
 
-def _checked(a: PAdic, q: int, n_digits: int, units) -> tuple[tuple, int]:
+def _checked(a: PAdic, q: int, n_digits: int, units, c: int, d: int) -> RootSet:
     """The roots p**(gamma/q) * r for the unit residues r, each checked
-    against a with one power, and the exponent k of r^q = a (mod p**k).
+    against a with one power: the only check of a returned root.
 
     Both sides of (p**(gamma/q) * r)^q = p**gamma * u have valuation
     gamma, so the check is r^q = u on the residues, mod p**(k - gamma)."""
-    c = int_valuation(q, a.p)
     verify_k = a.gamma + n_digits + c
     mod = a.p ** (n_digits + c)
     u = a.unit % mod
@@ -332,7 +324,7 @@ def _checked(a: PAdic, q: int, n_digits: int, units) -> tuple[tuple, int]:
             raise LiftContradictionError(
                 f"lifted value {r} fails r^{q} = a mod p^{verify_k}"
             )
-    return roots, verify_k
+    return RootSet(roots, d, verify_k)
 
 
 def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
@@ -344,32 +336,30 @@ def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
     Z_p^* = mu_(p-1) x (1 + pZ_p) the unit roots are r0 * zeta**k for one
     unit root r0 and zeta a primitive d-th root of unity, where
     d = gcd(q, p-1) for odd p and d = gcd(q, 2) for p = 2 (zeta = -1).
-    r0 is lifted from one seed: for odd p, the m-th root g**s of
-    d0 = u mod p that one discrete log gives (power_residue_root; d0
-    itself when m = 1); 1 for even q and u mod 4 for odd q at p = 2.
-    The seed must satisfy x^q = u (mod p**(c+1)), or mod 2**(c+2) at
-    p = 2.  Newton steps at doubling precision then lift it until
-    x^q = u (mod p**(n_digits+c)).  zeta is g**((p-1)/d) mod p, for g the
-    smallest primitive root, Newton-lifted on x^d = 1.  The roots are the
-    distinct residues r0 * zeta**k, sorted, and each is checked against a
-    with one power before any is returned.
+    d is the expected_count of the result, for every q.  r0 is lifted from
+    one seed: for odd p, the m-th root g**s of d0 = u mod p that one
+    discrete log gives (power_residue_root; d0 itself when m = 1); 1 for
+    even q and u mod 4 for odd q at p = 2.  The seed must satisfy
+    x^q = u (mod p**(c+1)), or mod 2**(c+2) at p = 2.  One run of Newton
+    steps at doubling precision then lifts it to n_digits.  zeta is
+    g**((p-1)/d) mod p, for g the smallest primitive root, Newton-lifted
+    on x^d = 1 and checked once.  The roots are the distinct residues
+    r0 * zeta**k, sorted, and each is checked once against a with one
+    power, x^q = u (mod p**(n_digits+c)), before any is returned.
 
     Callers must have established a solvable verdict first (see decide):
-    a missing or failing seed, or a Newton loop that does not settle,
+    a missing or failing seed, a failing root of unity or a failing root
     means the criteria and the lifting disagree and raises
     LiftContradictionError.
     """
-    roots, verify_k = _checked(a, q, n_digits, _unit_roots(a, q, n_digits))
-    c = int_valuation(q, a.p)
-    expected = math.gcd(q, a.p - 1) if c == 0 else None
-    return RootSet(roots, expected, verify_k)
+    return _checked(a, q, n_digits, *_unit_roots(a, q, n_digits))
 
 
 def lift_root(a: PAdic, q: int, n_digits: int) -> PAdic:
     """The first root lift_roots(a, q, n_digits) returns, the one with the
     least unit residue, with only that root checked against a."""
-    roots, _ = _checked(a, q, n_digits, _unit_roots(a, q, n_digits)[:1])
-    return roots[0]
+    units, c, d = _unit_roots(a, q, n_digits)
+    return _checked(a, q, n_digits, units[:1], c, d).roots[0]
 
 
 def solve(a: PAdic, q: int, n_digits: int):
@@ -379,15 +369,8 @@ def solve(a: PAdic, q: int, n_digits: int):
     The target must be known to n_digits + v_p(q) digits: the lift reads
     v_p(q) digits beyond those of the roots.
     """
-    _require_nonzero(a)
-    if q < 2:
-        raise ValueError("exponent must be at least 2")
-    c = int_valuation(q, a.p)
-    if a.precision < n_digits + c:
-        raise PrecisionError(
-            f"solving to {n_digits} digits needs the value known to "
-            f"{n_digits + c} digits, have {a.precision}"
-        )
+    c, _ = _split(a, q)
+    _require_digits(a, n_digits + c, f"solving to {n_digits} digits")
     verdict = decide(a, q)
     if not verdict.solvable:
         return verdict, None

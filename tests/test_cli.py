@@ -140,7 +140,7 @@ ROOT_SOLVABLE_JSON = """\
   "roots": [
     "1;2,0,0,0"
   ],
-  "expected_count": null,
+  "expected_count": 1,
   "observed_count": 1,
   "self_check_modulus": "3^8"
 }
@@ -267,6 +267,23 @@ def test_classify_structured_plain_same_data(capsys):
     assert f"form: {doc['form']}" in plain
     assert f"epsilon: {doc['epsilon']}" in plain
     assert f"y: {doc['y']}" in plain
+
+
+@pytest.mark.parametrize(
+    "q, p, message",
+    [
+        ("1", "5", "error: exponent q must be at least 2"),
+        ("4", "5", "error: classifier needs a prime exponent q < p"),
+        ("10", "5", "error: classify needs q = p or prime q < p, got q=10, p=5"),
+    ],
+    ids=["q1-p5", "q4-p5", "q10-p5"],
+)
+def test_classify_argument_errors(capsys, q, p, message):
+    code = main(["classify", "--p", p, "--q", q, "--val", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"
 
 
 # ---------------------------------------------------------------------------

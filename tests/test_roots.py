@@ -25,6 +25,7 @@ from padicroots import (
     Verdict,
     check_qp,
     decide,
+    lift_root,
     lift_roots,
     solve,
 )
@@ -177,7 +178,23 @@ def test_lift_fifth_root_of_seven_base5():
     root = rs.roots[0]
     assert root.digits[0] == 2  # first digit equals the target's first digit
     assert [root.unit] == bf.digit_bfs_roots(5, 5, 7, 5, 1)
-    assert rs.expected_count is None  # no count is claimed once p divides q
+    assert rs.expected_count == 1  # gcd(5, 5 - 1): mu(Q_5) has no 5th roots but 1
+
+
+def test_lift_count_when_p_divides_q():
+    # d = gcd(q, p - 1), gcd(q, 2) at p = 2, counts the roots for every q
+    rng = random.Random(41)
+    for p in (2, 3, 5, 7):
+        for q in (p, 2 * p, 3 * p, p * p):
+            c = bf.int_valuation(q, p)
+            n = 4
+            for _ in range(3):
+                r = rng.randrange(1, p ** (n + c))
+                r += r % p == 0
+                u = pow(r, q, p ** (n + c))
+                rs = lift_roots(PAdic.from_unit(p, 0, u, n + c), q, n)
+                want = bf.digit_bfs_roots(p, q, u, n, c)
+                assert rs.expected_count == rs.observed_count == len(want), (p, q, u)
 
 
 def test_lift_contradiction_on_nonresidue():
@@ -401,6 +418,43 @@ def test_newton_inverts_only_at_the_seed_precision(monkeypatch):
         monkeypatch.undo()
         assert rs.observed_count == math.gcd(q, 2 if p == 2 else p - 1)
         assert moduli and max(moduli) <= p**2, (p, q, moduli)
+
+
+def test_lift_checks_each_returned_root_once(monkeypatch):
+    # one Newton schedule, one pow per returned root at p^(n+c), and for
+    # d > 2 the lifted zeta's last step and its one check (c = 0 here)
+    n = 500
+    for p, q in ((2, 2), (2, 3), (5, 5), (101, 2), (5, 4), (1009, 3)):
+        c = bf.int_valuation(q, p)
+        d = math.gcd(q, 2 if p == 2 else p - 1)
+        a = PAdic.from_int(3**q, p, n + c)
+        for lift, want in ((lift_roots, 1 + d), (lift_root, 2)):
+            calls = []
+
+            def counting_pow(base, exp, mod=None):
+                if mod == p ** (n + c):
+                    calls.append(exp)
+                return pow(base, exp, mod)
+
+            monkeypatch.setattr(padicroots.roots, "pow", counting_pow, raising=False)
+            lift(a, q, n)
+            monkeypatch.undo()
+            assert len(calls) == want + 2 * (d > 2), (p, q, lift.__name__, calls)
+
+
+def test_lift_refuses_a_wrong_root_of_unity(monkeypatch):
+    newton = padicroots.roots._newton
+
+    def perturbed(x, q, u, p, n_digits, c):
+        root = newton(x, q, u, p, n_digits, c)
+        return root + p ** (n_digits - 1) if u == 1 else root
+
+    monkeypatch.setattr(padicroots.roots, "_newton", perturbed)
+    for p, q in ((7, 3), (13, 4), (101, 5)):
+        a = PAdic.from_int(2**q, p, 6)
+        for lift in (lift_roots, lift_root):
+            with pytest.raises(LiftContradictionError, match="root of unity"):
+                lift(a, q, 6)
 
 
 def test_lift_seed_takes_one_discrete_log(monkeypatch, capsys):
