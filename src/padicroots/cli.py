@@ -11,10 +11,12 @@ cross-checks disagree, which indicates a bug rather than bad input.
 """
 
 import argparse
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .congruence import (
+    euler_phi,
     int_valuation,
     is_prime,
     power_residue_solve,
@@ -31,6 +33,9 @@ from .representation import (
 from .roots import LiftContradictionError, decide, solve
 
 PRECISION_CAP = 10_000
+# congr lists every solution; a congruence that may have more than this
+# many is refused before any work
+CONGR_SOLUTION_CAP = 10**6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,7 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table.add_argument("--p-max", type=int, default=41, dest="p_max")
 
-    congr = sub.add_parser("congr", help="congruence solvers")
+    congr = sub.add_parser(
+        "congr",
+        help="congruence solvers",
+        description="Solve a*x = b (mod n) or x^n = a (mod m) and list every "
+        f"solution. A congruence that may have more than {CONGR_SOLUTION_CAP} "
+        "solutions exits 2: linear when gcd(a, n) divides b and exceeds the "
+        "bound, pow-residue when gcd(n, phi(m)) does.",
+    )
     congr.add_argument("which", choices=("linear", "pow-residue"))
     congr.add_argument("--a", type=int, required=True)
     congr.add_argument("--b", type=int, help="linear: right-hand side")
@@ -98,9 +110,40 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _json(x, indent: str = "\n") -> str:
+    """x as JSON, byte for byte as json.dumps(x, indent=2) writes it, for
+    the types the commands emit: dict with str keys, list, str, int, bool
+    and None.  Strings go through the stdlib's C escaper, and a list of
+    plain ints (no bools) is written in one join."""
+    t = type(x)
+    if t is str:
+        return _quote(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    if t is bool:
+        return "true" if x else "false"
+    inner = indent + "  "
+    if t is list:
+        if not x:
+            return "[]"
+        if set(map(type, x)) == {int}:
+            body = map(int.__repr__, x)
+        else:
+            body = [_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(body) + indent + "]"
+    if t is dict:
+        if not x:
+            return "{}"
+        body = [_quote(k) + ": " + _json(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(body) + indent + "}"
+    raise TypeError(f"cannot write {t.__name__} as JSON")
+
+
 def _emit(args, plain_lines, payload) -> str:
     if args.format == "structured":
-        return json.dumps(payload, indent=2)
+        return _json(payload)
     return "\n".join(plain_lines)
 
 
@@ -231,25 +274,32 @@ def cmd_table(args) -> str:
     if args.p_max < 3:
         raise ValueError("--p-max must be at least 3")
     table = j_no_solution_table(args.p_max)
-    lines = [f"p={p}: " + ", ".join(str(j) for j in js) for p, js in table.items()]
-    rows = []
-    if args.format == "structured":  # plain output never shows the epsilon sets
-        rows = [
-            {
-                "p": p,
-                "j_no_solution": list(js),
-                "epsilon_derived": list(derived_epsilon_set(p)),
-            }
-            for p, js in table.items()
-        ]
-    payload = {"command": "table", "p_max": args.p_max, "rows": rows}
-    return _emit(args, lines, payload)
+    if args.format == "plain":  # plain output never shows the epsilon sets
+        return "\n".join(
+            f"p={p}: " + ", ".join(map(str, js)) for p, js in table.items()
+        )
+    rows = [
+        {
+            "p": p,
+            "j_no_solution": list(js),
+            "epsilon_derived": list(derived_epsilon_set(p)),
+        }
+        for p, js in table.items()
+    ]
+    return _json({"command": "table", "p_max": args.p_max, "rows": rows})
 
 
 def cmd_congr(args) -> str:
     if args.which == "linear":
         if args.b is None:
             raise ValueError("linear congruence needs --b")
+        if args.n != 0:  # solve_linear names a zero modulus
+            g = math.gcd(args.a % args.n, args.n)
+            if g > CONGR_SOLUTION_CAP and args.b % g == 0:
+                raise ValueError(
+                    f"{g} solutions, more than the {CONGR_SOLUTION_CAP} "
+                    "congr lists"
+                )
         sol = solve_linear(args.a, args.b, args.n)
         desc = f"{args.a}*x = {args.b} (mod {args.n})"
         payload = {
@@ -262,6 +312,14 @@ def cmd_congr(args) -> str:
     else:
         if args.m is None:
             raise ValueError("power residue congruence needs --m")
+        # gcd(n, phi(m)) bounds the count; it can pass the cap only when n does
+        if args.n > CONGR_SOLUTION_CAP and args.m >= 2:
+            d = math.gcd(args.n, euler_phi(args.m))
+            if d > CONGR_SOLUTION_CAP:
+                raise ValueError(
+                    f"up to {d} solutions, more than the {CONGR_SOLUTION_CAP} "
+                    "congr lists"
+                )
         sol = power_residue_solve(args.n, args.a, args.m)
         desc = f"x^{args.n} = {args.a} (mod {args.m})"
         payload = {
@@ -275,7 +333,7 @@ def cmd_congr(args) -> str:
         f"congruence: {desc}",
         f"solvable: {'yes' if sol.solvable else 'no'}",
         f"solutions mod {sol.modulus}: "
-        + (", ".join(str(x) for x in sol.representatives) if sol.solvable else "none"),
+        + (", ".join(map(str, sol.representatives)) if sol.solvable else "none"),
         f"count: {sol.count}",
     ]
     payload.update(
@@ -305,41 +363,42 @@ def cmd_expand(args) -> str:
     values = [t.evaluate(padded) for t in terms]
     nk = sum(values)
     lead = args.q * padded[0] ** (args.q - 1) * padded[args.k]
+    if args.format == "structured":
+        payload = {
+            "command": "expand",
+            "p": args.p,
+            "q": args.q,
+            "k": args.k,
+            "digits": digits,
+            "terms": [
+                {
+                    "exponents": list(t.exponents),
+                    "coefficient": t.coefficient,
+                    "value": val,
+                }
+                for t, val in zip(terms, values)
+            ],
+            "n_k": nk,
+            "leading_term": lead,
+            "coefficient_total": lead + nk,
+        }
+        return _json(payload)
     lines = [
         f"exponent q={args.q}, prime p={args.p}, digit position k={args.k}, "
-        f"digits: {','.join(str(d) for d in digits)}",
+        f"digits: {','.join(map(str, digits))}",
         f"leading term q*d0^(q-1)*d_k = {lead}",
         f"N_{args.k} terms (m_0,...,m_{args.k - 1}):",
     ]
-    term_payload = []
-    for t, val in zip(terms, values):
-        lines.append(
-            f"  ({','.join(str(m) for m in t.exponents)})  "
-            f"coeff {t.coefficient}  value {val}"
-        )
-        term_payload.append(
-            {
-                "exponents": list(t.exponents),
-                "coefficient": t.coefficient,
-                "value": val,
-            }
-        )
+    lines += [
+        f"  ({','.join(map(str, t.exponents))})  "
+        f"coeff {t.coefficient}  value {val}"
+        for t, val in zip(terms, values)
+    ]
     if not terms:
         lines.append("  (none)")
     lines.append(f"N_{args.k} = {nk}")
     lines.append(f"coefficient of p^{args.k} = {lead + nk}")
-    payload = {
-        "command": "expand",
-        "p": args.p,
-        "q": args.q,
-        "k": args.k,
-        "digits": digits,
-        "terms": term_payload,
-        "n_k": nk,
-        "leading_term": lead,
-        "coefficient_total": lead + nk,
-    }
-    return _emit(args, lines, payload)
+    return "\n".join(lines)
 
 
 _DISPATCH = {

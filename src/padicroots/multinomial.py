@@ -48,11 +48,7 @@ class NkTerm:
     coefficient: int
 
     def evaluate(self, digits) -> int:
-        val = self.coefficient
-        for d, m in zip(digits, self.exponents):
-            if m:
-                val *= d**m
-        return val
+        return self.coefficient * math.prod(map(pow, digits, self.exponents))
 
 
 def nk_terms(q: int, k: int) -> list[NkTerm]:
@@ -65,23 +61,31 @@ def nk_terms(q: int, k: int) -> list[NkTerm]:
     out: list[NkTerm] = []
     tail = [0] * k  # m_1..m_{k-1} chosen, m_0 derived
 
-    def rec(top: int, count_left: int, weight_left: int) -> None:
+    def rec(top: int, count_left: int, weight_left: int, coeff: int) -> None:
         # Positions below top are all 0 here.  Pick the highest nonzero one
         # (lowest pos first, then smallest m), keeping only choices whose
-        # rest fits: weight w fits in c parts below pos iff w <= c*(pos-1).
+        # rest fits: weight w fits in c parts below pos iff w <= c*(pos-1),
+        # so pos itself needs w <= c*pos (c > 0 while weight is left).
+        # coeff is q! / (count_left! * the chosen m!): one binomial per
+        # choice makes it the multinomial coefficient once m_0 is placed.
         if weight_left == 0:
             tail[0] = count_left
-            exps = tuple(tail)
-            out.append(NkTerm(exps, multinomial_coeff(q, exps)))
+            out.append(NkTerm(tuple(tail), coeff))
             return
-        for pos in range(1, min(top, weight_left + 1)):
+        first = -(-weight_left // count_left)
+        for pos in range(first, min(top, weight_left + 1)):
             low = max(1, weight_left - count_left * (pos - 1))
             for m in range(low, min(count_left, weight_left // pos) + 1):
                 tail[pos] = m
-                rec(pos, count_left - m, weight_left - pos * m)
+                rec(
+                    pos,
+                    count_left - m,
+                    weight_left - pos * m,
+                    coeff * math.comb(count_left, m),
+                )
             tail[pos] = 0
 
-    rec(k, q, k)
+    rec(k, q, k, 1)
     return out
 
 

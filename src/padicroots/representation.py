@@ -24,6 +24,7 @@ epsilon no matter what the first digit is.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .congruence import find_primitive_root, index, is_prime
 from .padic_core import PAdic, PrecisionError
@@ -177,13 +178,12 @@ def _j_row(p: int) -> tuple[int, ...]:
 
 
 def derived_epsilon_set(p: int) -> tuple[int, ...]:
-    """{1} plus every i + j*p with j drawn from the no-solution table:
-    the epsilon classes forced purely by the second digit."""
+    """{1} plus every i + j*p (i in [1, p-1]) with j drawn from the
+    no-solution table: the epsilon classes forced purely by the second
+    digit.  The classes of one j are the run j*p+1 .. j*p+p-1, and j = 0 is
+    never in a row (i = 1 solves it), so 1 and then the runs in j order are
+    already in increasing order."""
     if p > 10_000:
         raise ValueError("table bound capped at 10000")
     js = _j_row(p) if p >= 3 and is_prime(p) else ()
-    out = {1}
-    for j in js:
-        for i in range(1, p):
-            out.add(i + j * p)
-    return tuple(sorted(out))
+    return tuple(chain((1,), *(range(j * p + 1, j * p + p) for j in js)))

@@ -14,9 +14,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
-from padicroots.cli import main
+from padicroots.cli import CONGR_SOLUTION_CAP, _json, main
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +205,46 @@ def test_structured_output_golden(capsys, command, q, val, golden):
     assert out == golden
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "check --p 3 --q 6 --val 7 --precision 4",
+        "root --p 5 --q 2 --val 11/4 --precision 6",
+        "root --p 3 --q 3 --val 15",
+        "classify --p 7 --q 3 --val 6",
+        "classify --p 3 --q 3 --val 15",
+        "table --p-max 41",
+        "congr linear --a 6 --b 9 --n 15",
+        "congr linear --a 2 --b 1 --n 4",
+        "congr pow-residue --m 7 --n 3 --a 6",
+        "expand --p 5 --q 4 --digits 1,2,3,4 --k 6",
+        "expand --p 3 --q 3 --digits 1,1 --k 1",
+    ],
+)
+def test_structured_output_is_stdlib_json(capsys, argv):
+    # every command's JSON is what json.dumps(..., indent=2) writes
+    code, out = run_cli(capsys, *argv.split(), "--format", "structured")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+_json_leaves = st.none() | st.booleans() | st.integers(-(10**40), 10**40) | st.text()
+_json_values = st.recursive(
+    _json_leaves | st.lists(st.integers(-(10**30), 10**30) | st.booleans()),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_stdlib(x):
+    # non-ASCII and escaped strings, big negative ints, int lists with a
+    # bool among them, empty and nested containers
+    assert _json(x) == json.dumps(x, indent=2)
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -352,6 +394,36 @@ def test_congr_unsolvable(capsys):
     code, out = run_cli(capsys, "congr", "linear", "--a", "2", "--b", "1", "--n", "4")
     assert code == 0
     assert "solvable: no" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "linear --a 0 --b 0 --n 100000000000",
+        f"linear --a 0 --b 0 --n {CONGR_SOLUTION_CAP + 1}",
+        "pow-residue --a 1 --n 1000002 --m 1000003",
+        "pow-residue --a 1 --n 2000004 --m 1000003",
+    ],
+)
+def test_congr_refuses_too_many_solutions(capsys, argv):
+    # refused before any solution is built: 0*x = 0 (mod 10^11) alone
+    # would list 10^11 residues
+    code = main(["congr", *argv.split()])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"more than the {CONGR_SOLUTION_CAP} congr lists" in captured.err
+
+
+def test_congr_at_the_solution_cap_answers(capsys):
+    code, out = run_cli(
+        capsys, "congr", "linear", "--a", "0", "--b", "1", "--n", "100000000000"
+    )
+    assert code == 0 and "solvable: no" in out
+    code, out = run_cli(
+        capsys, "congr", "linear", "--a", "0", "--b", "0",
+        "--n", str(CONGR_SOLUTION_CAP),
+    )
+    assert code == 0 and f"count: {CONGR_SOLUTION_CAP}" in out
 
 
 def test_expand_n2_terms(capsys):

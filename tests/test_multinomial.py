@@ -65,14 +65,16 @@ def test_multinomial_rejects_bad_parts():
 
 
 def test_nk_terms_constraints_hold():
-    for q in range(2, 8):
-        for k in range(1, 12):
-            for term in nk_terms(q, k):
-                assert sum(term.exponents) == q
-                assert sum(i * m for i, m in enumerate(term.exponents)) == k
-                assert term.coefficient == multinomial_coeff(q, term.exponents)
-                # the leading term q*d0^(q-1)*dk is excluded by construction
-                assert len(term.exponents) <= k
+    # the small grid plus the (q, k) shapes the benchmark expands
+    shapes = [(q, k) for q in range(2, 8) for k in range(1, 12)]
+    shapes += [(7, 25), (6, 22), (5, 25), (7, 18), (4, 25), (3, 25)]
+    for q, k in shapes:
+        for term in nk_terms(q, k):
+            assert sum(term.exponents) == q
+            assert sum(i * m for i, m in enumerate(term.exponents)) == k
+            assert term.coefficient == multinomial_coeff(q, term.exponents)
+            # the leading term q*d0^(q-1)*dk is excluded by construction
+            assert len(term.exponents) <= k
 
 
 def test_nk_terms_are_every_tuple_in_reverse_lexicographic_order():

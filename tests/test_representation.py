@@ -94,6 +94,32 @@ def test_derived_epsilon_sets():
         assert set(derived_epsilon_set(p)) <= set(epsilon_set(p))
 
 
+def derived_epsilon_set_by_set(p, js):
+    """The definition, built as a set: {1} plus i + j*p for every j of p's
+    no-solution row and i in [1, p-1], in increasing order."""
+    out = {1}
+    for j in js:
+        for i in range(1, p):
+            out.add(i + j * p)
+    return tuple(sorted(out))
+
+
+def test_derived_epsilon_set_matches_set_construction():
+    # every odd prime below 500, and the largest below 2000 (all of them
+    # would build 132 million entries)
+    table = j_no_solution_table(499)
+    table[1999] = j_no_solution_table(1999)[1999]
+    for p, js in table.items():
+        want = derived_epsilon_set_by_set(p, js)
+        assert derived_epsilon_set(p) == want
+        assert len(want) == 1 + len(js) * (p - 1)
+    # no table row outside the odd primes
+    for p in (1, 2, 4, 9, 15):
+        assert derived_epsilon_set(p) == (1,)
+    with pytest.raises(ValueError):
+        derived_epsilon_set(10_007)
+
+
 # ---------------------------------------------------------------------------
 # nonresidue units and their product certification
 
