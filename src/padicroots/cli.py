@@ -25,14 +25,18 @@ from .congruence import (
 from .multinomial import nk_terms
 from .padic_core import PAdic, parse_value
 from .representation import (
+    _epsilon_runs,
     classify_coprime,
     classify_p,
-    derived_epsilon_set,
     j_no_solution_table,
 )
 from .roots import LiftContradictionError, decide, solve
 
 PRECISION_CAP = 10_000
+# root prints d * precision digits for the d = gcd(q, p-1) roots
+# (gcd(q, 2) at p = 2); a request for more than this many is refused
+# before any work
+ROOT_DIGIT_BUDGET = 10**5
 # congr lists every solution; a congruence that may have more than this
 # many is refused before any work
 CONGR_SOLUTION_CAP = 10**6
@@ -63,7 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     common(sub.add_parser("check", help="decide solvability of x^q = val"))
-    common(sub.add_parser("root", help="construct all roots of x^q = val"))
+    common(
+        sub.add_parser(
+            "root",
+            help="construct all roots of x^q = val",
+            description="Construct all roots of x^q = val. The d roots, "
+            "d = gcd(q, p-1) (gcd(q, 2) at p = 2), print d * precision "
+            f"digits; a request for more than {ROOT_DIGIT_BUDGET} exits 2 "
+            "before any work.",
+        )
+    )
     common(sub.add_parser("classify", help="decompose val as eps * p^j * y^q"))
 
     table = sub.add_parser(
@@ -156,6 +169,14 @@ def _parse_equation(args) -> PAdic:
         raise ValueError(f"p must be prime, got {args.p}")
     if not 1 <= args.precision <= PRECISION_CAP:
         raise ValueError(f"precision must be in [1, {PRECISION_CAP}]")
+    if args.command == "root":
+        d = math.gcd(args.q, 2 if args.p == 2 else args.p - 1)
+        if d * args.precision > ROOT_DIGIT_BUDGET:
+            raise ValueError(
+                f"{d} roots at precision {args.precision} are "
+                f"{d * args.precision} digits, more than the "
+                f"{ROOT_DIGIT_BUDGET} root prints"
+            )
     extra_digits = int_valuation(args.q, args.p)
     a = parse_value(args.val, args.p, args.precision + extra_digits)
     if a.is_zero:
@@ -282,7 +303,7 @@ def cmd_table(args) -> str:
         {
             "p": p,
             "j_no_solution": list(js),
-            "epsilon_derived": list(derived_epsilon_set(p)),
+            "epsilon_derived": list(_epsilon_runs(p, js)),
         }
         for p, js in table.items()
     ]

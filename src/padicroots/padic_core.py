@@ -64,13 +64,14 @@ def _from_digits(digits, p: int, powers: dict) -> int:
 
 
 # Rendering converts to base p**e, the largest power of p not above
-# _BLOCK, and looks each block's e digits up as text.
+# _BLOCK, and looks each block's e digits up as text.  p = 2 needs no
+# table: format(x, "b") writes its digits.
 _BLOCK = 1 << 10
 
 
 @lru_cache(maxsize=None)
 def _block_texts(p: int) -> tuple[int, tuple[str, ...]]:
-    """(e, texts) for p <= _BLOCK: e is the largest exponent with
+    """(e, texts) for 2 < p <= _BLOCK: e is the largest exponent with
     p**e <= _BLOCK, and texts[v] is the e base-p digits of v < p**e, least
     significant first, joined by commas."""
     e = 1
@@ -81,9 +82,12 @@ def _block_texts(p: int) -> tuple[int, tuple[str, ...]]:
 
 
 def _digit_text(x: int, p: int, k: int) -> str:
-    """The k low base-p digits of x, least significant first, joined by
-    commas: e digits per block of base p**e for p <= _BLOCK, the last
-    partial block and every digit of a larger p one at a time."""
+    """The k base-p digits of x < p**k, least significant first, joined by
+    commas: at p = 2 the binary text of x padded to k digits and reversed;
+    e digits per block of base p**e for 2 < p <= _BLOCK, the last partial
+    block and every digit of a larger p one at a time."""
+    if p == 2:
+        return ",".join(format(x, "b").zfill(k)[::-1])
     if p > _BLOCK:
         out: list = []
         _to_digits(x, p, k, out, {})
@@ -98,6 +102,24 @@ def _digit_text(x: int, p: int, k: int) -> str:
         top, d = divmod(top, p)
         parts.append(str(d))
     return ",".join(parts)
+
+
+# A literal of single-character digits is read by int() in chunks of this
+# many digits: sys.int_info.str_digits_check_threshold, the least limit
+# PYTHONINTMAXSTRDIGITS or sys.set_int_max_str_digits can set, so the read
+# holds under any setting.
+_CHUNK = 640
+
+
+def _read_numeral(s: str, p: int) -> int:
+    """The value of s, base-p digits most significant first, read _CHUNK
+    digits at a time."""
+    head = len(s) % _CHUNK or _CHUNK
+    value = int(s[:head], p)
+    step = p**_CHUNK
+    for i in range(head, len(s), _CHUNK):
+        value = value * step + int(s[i : i + _CHUNK], p)
+    return value
 
 
 @dataclass(frozen=True)
@@ -373,24 +395,42 @@ def parse_value(text: str, p: int, precision: int) -> PAdic:
     `g;d0,d1,...`       explicit valuation and digit list; digits must lie
                         in [0, p-1] and d0 must be nonzero.  The finite sum
                         is the unit part, reduced to `precision` digits.
+
+    For p <= 10, a digit list of single ASCII digits below p, each
+    separated by one comma, is one base-p numeral written backwards: its
+    shape is tested with slices and str.strip, and int(s, p) reads the
+    reversed digits in chunks of 640 (_CHUNK), within any int() digit
+    limit.  Every other digit list (spaces, signs, underscores, non-ASCII
+    digits, empty entries, p > 10) is read entry by entry, and that loop
+    raises every error a digit list can raise.
     """
     t = text.strip()
     if ";" in t:
         head, _, tail = t.partition(";")
+        numeral = (
+            2 <= p <= 10
+            and len(tail) % 2 == 1
+            and tail[1::2].strip(",") == ""
+            and tail[::2].strip("0123456789"[:p]) == ""
+        )
         try:
             gamma = int(head)
-            digs = [int(x) for x in tail.split(",")]
+            digs = () if numeral else [int(x) for x in tail.split(",")]
         except ValueError:
             raise ValueError(f"malformed digit literal {text!r}") from None
-        if not digs:
-            raise ValueError("digit literal needs at least one digit")
         for d in digs:
             if not 0 <= d < p:
                 raise ValueError(f"digit {d} out of range for p={p}")
-        if digs[0] == 0:
+        if (tail[0] == "0") if numeral else (digs[0] == 0):
             raise ValueError("first digit must be nonzero (canonical form)")
-        # d0 != 0 makes the digit sum a unit, so gamma is the valuation
-        return PAdic.from_unit(p, gamma, _from_digits(digs, p, {}), precision)
+        # the numeral's digits sit at the even places, d0 first: read
+        # backwards they are d_(k-1) ... d1 d0.  d0 != 0 makes the digit
+        # sum a unit, so gamma is the valuation.
+        if numeral:
+            unit = _read_numeral(tail[::-2], p)
+        else:
+            unit = _from_digits(digs, p, {})
+        return PAdic.from_unit(p, gamma, unit, precision)
     num, slash, den = t.partition("/")
     try:
         n = int(num)

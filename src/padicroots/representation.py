@@ -23,6 +23,7 @@ d0 + j*p can never match d0^p mod p^2, i.e. the j that force a nontrivial
 epsilon no matter what the first digit is.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -180,10 +181,16 @@ def _j_row(p: int) -> tuple[int, ...]:
 def derived_epsilon_set(p: int) -> tuple[int, ...]:
     """{1} plus every i + j*p (i in [1, p-1]) with j drawn from the
     no-solution table: the epsilon classes forced purely by the second
-    digit.  The classes of one j are the run j*p+1 .. j*p+p-1, and j = 0 is
-    never in a row (i = 1 solves it), so 1 and then the runs in j order are
-    already in increasing order."""
+    digit."""
     if p > 10_000:
         raise ValueError("table bound capped at 10000")
     js = _j_row(p) if p >= 3 and is_prime(p) else ()
-    return tuple(chain((1,), *(range(j * p + 1, j * p + p) for j in js)))
+    return tuple(_epsilon_runs(p, js))
+
+
+def _epsilon_runs(p: int, row) -> Iterator[int]:
+    """1, then i + j*p for i in [1, p-1] and each j of a table row.  The
+    classes of one j are the run j*p+1 .. j*p+p-1, and j = 0 is never in a
+    row (i = 1 solves it), so for a row in increasing order 1 and then the
+    runs in row order are already in increasing order."""
+    return chain((1,), *(range(j * p + 1, j * p + p) for j in row))

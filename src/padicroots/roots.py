@@ -43,7 +43,9 @@ internal error raised as LiftContradictionError (never swallowed).
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 from .congruence import (
     find_primitive_root,
@@ -256,12 +258,13 @@ def _newton(x: int, q: int, u: int, p: int, n_digits: int, c: int) -> int:
     return x % p**n_digits
 
 
-def _unit_roots(a: PAdic, q: int, n_digits: int) -> tuple[list[int], int, int]:
-    """The unit parts of every root of x^q = a, mod p**n_digits, sorted,
-    with the c = v_p(q) and the root count d they were built with: one
-    Newton lift of one seed, times the d-th roots of unity of Q_p that
-    x^q cannot tell apart.  The lifted root of unity zeta is checked once,
-    zeta^d = 1 (mod p**n_digits); the roots are left to _checked."""
+def _unit_roots(a: PAdic, q: int, n_digits: int) -> tuple[Iterator[int], int, int]:
+    """The unit parts of every root of x^q = a, mod p**n_digits, with the
+    c = v_p(q) and the root count d they were built with: one Newton lift
+    r0 of one seed, and an iterator over r0 * zeta**k for k < d, the
+    d-th roots of unity of Q_p that x^q cannot tell apart.  The lifted
+    root of unity zeta is checked once, zeta^d = 1 (mod p**n_digits); the
+    roots are left to _checked."""
     c, m = _split(a, q)
     if n_digits < 1:
         raise ValueError("need at least one digit")
@@ -302,11 +305,8 @@ def _unit_roots(a: PAdic, q: int, n_digits: int) -> tuple[list[int], int, int]:
             )
     else:
         zeta = mod - 1
-    units = {x}
-    for _ in range(d - 1):
-        x = x * zeta % mod
-        units.add(x)
-    return sorted(units), c, d
+    units = accumulate(repeat(zeta, d - 1), lambda r, z: r * z % mod, initial=x)
+    return units, c, d
 
 
 def _checked(a: PAdic, q: int, n_digits: int, units, c: int, d: int) -> RootSet:
@@ -352,14 +352,16 @@ def lift_roots(a: PAdic, q: int, n_digits: int) -> RootSet:
     means the criteria and the lifting disagree and raises
     LiftContradictionError.
     """
-    return _checked(a, q, n_digits, *_unit_roots(a, q, n_digits))
+    units, c, d = _unit_roots(a, q, n_digits)
+    return _checked(a, q, n_digits, sorted(set(units)), c, d)
 
 
 def lift_root(a: PAdic, q: int, n_digits: int) -> PAdic:
     """The first root lift_roots(a, q, n_digits) returns, the one with the
-    least unit residue, with only that root checked against a."""
+    least unit residue, with only that root checked against a: the least
+    r0 * zeta**k is kept as the powers go by, and no other is stored."""
     units, c, d = _unit_roots(a, q, n_digits)
-    return _checked(a, q, n_digits, units[:1], c, d).roots[0]
+    return _checked(a, q, n_digits, (min(units),), c, d).roots[0]
 
 
 def solve(a: PAdic, q: int, n_digits: int):

@@ -8,6 +8,7 @@ codes.  Structured output must carry the same data as the plain text.
 from __future__ import annotations
 
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from padicroots.cli import CONGR_SOLUTION_CAP, _json, main
+import padicroots.representation
+from padicroots.cli import CONGR_SOLUTION_CAP, ROOT_DIGIT_BUDGET, _json, main
 
 
 def run_cli(capsys, *argv):
@@ -424,6 +426,61 @@ def test_congr_at_the_solution_cap_answers(capsys):
         "--n", str(CONGR_SOLUTION_CAP),
     )
     assert code == 0 and f"count: {CONGR_SOLUTION_CAP}" in out
+
+
+def test_root_refuses_more_digits_than_the_budget(capsys):
+    # d = gcd(q, p-1) roots of `precision` digits each, worked out before
+    # the value is read: the malformed value is never looked at
+    for p, q, val, precision in (
+        (1000003, 166667, "1", 40),
+        (1000003, 166667, "0;x", 40),
+        (101, 100, "1", 1001),
+        (101, 200, "1", 1001),
+    ):
+        argv = ["--p", p, "--q", q, "--val", val, "--precision", precision]
+        code = main(["root", *map(str, argv)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        d = math.gcd(q, p - 1)
+        assert captured.err == (
+            f"error: {d} roots at precision {precision} are {d * precision} "
+            f"digits, more than the {ROOT_DIGIT_BUDGET} root prints\n"
+        )
+    # check prints no root, so the budget does not bound it
+    code, out = run_cli(
+        capsys, "check", "--p", "1000003", "--q", "166667", "--val", "1",
+        "--precision", "40",
+    )
+    assert code == 0 and "verdict: solvable" in out
+
+
+def test_root_at_the_digit_budget_answers(capsys):
+    # 100 roots of 1000 digits, and 10 roots at the precision cap, are
+    # exactly the budget
+    for p, q, precision in (("101", "100", "1000"), ("11", "10", "10000")):
+        assert int(q) * int(precision) == ROOT_DIGIT_BUDGET
+        code, out = run_cli(
+            capsys, "root", "--p", p, "--q", q, "--val", "1",
+            "--precision", precision,
+        )
+        assert code == 0 and f"roots ({q}):" in out
+    with pytest.raises(SystemExit):
+        main(["root", "--help"])
+    assert f"more than {ROOT_DIGIT_BUDGET} exits 2" in capsys.readouterr().out
+
+
+def test_table_structured_builds_each_row_once(capsys, monkeypatch):
+    j_row = padicroots.representation._j_row
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return j_row(p)
+
+    monkeypatch.setattr(padicroots.representation, "_j_row", counting)
+    code, out = run_cli(capsys, "table", "--p-max", "41", "--format", "structured")
+    assert code == 0
+    assert calls == bf.primes_upto(41)[1:]
 
 
 def test_expand_n2_terms(capsys):

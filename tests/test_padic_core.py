@@ -8,6 +8,7 @@ run as hypothesis properties over random values.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from padicroots import PAdic, PrecisionError, parse_value
 from padicroots.cli import PRECISION_CAP
-from padicroots.padic_core import _BLOCK, _LEAF
+from padicroots.padic_core import _BLOCK, _CHUNK, _LEAF, _from_digits
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -271,6 +272,131 @@ def test_parse_value_forms():
         parse_value("0;2,7", 5, 2)  # digit out of range
     with pytest.raises(ValueError):
         parse_value("abc", 5, 2)
+
+
+def reference_parse_value(text: str, p: int, precision: int) -> PAdic:
+    """parse_value as it read every literal before single-digit numerals
+    were read by int(): one int() and one range test per digit entry."""
+    t = text.strip()
+    if ";" in t:
+        head, _, tail = t.partition(";")
+        try:
+            gamma = int(head)
+            digs = [int(x) for x in tail.split(",")]
+        except ValueError:
+            raise ValueError(f"malformed digit literal {text!r}") from None
+        if not digs:
+            raise ValueError("digit literal needs at least one digit")
+        for d in digs:
+            if not 0 <= d < p:
+                raise ValueError(f"digit {d} out of range for p={p}")
+        if digs[0] == 0:
+            raise ValueError("first digit must be nonzero (canonical form)")
+        return PAdic.from_unit(p, gamma, _from_digits(digs, p, {}), precision)
+    num, slash, den = t.partition("/")
+    try:
+        n = int(num)
+        d = int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"malformed rational literal {text!r}") from None
+    return PAdic.from_rational(n, d, p, precision)
+
+
+def outcome(parse, text: str, p: int, precision: int):
+    """The parsed value's fields, or the exception's type and message."""
+    try:
+        x = parse(text, p, precision)
+    except Exception as e:
+        return type(e), str(e)
+    return x.gamma, x.unit, x.precision, x.is_zero
+
+
+# entries that keep a literal off the single-digit numeral route, or put
+# a zero or an out-of-range digit on it
+AWKWARD = [
+    " ", "+", "-", "_", "", " 1", "1 ", "+1", "-0", "1_0", "01", "00", "10",
+    "12", "a", ";", "\u0661", "\uff11", "0", "7", "9",
+]
+LENGTHS = [
+    st.integers(1, 12),
+    st.integers(_CHUNK - 3, _CHUNK + 3),
+    st.integers(2 * _CHUNK - 2, 2 * _CHUNK + 2),
+    st.integers(4297, 4303),
+    st.integers(PRECISION_CAP - 3, PRECISION_CAP),
+]
+
+
+@st.composite
+def digit_literals(draw):
+    """(text, p, precision): a random digit list with up to three entries
+    replaced by awkward ones, an optional trailing comma, and a valuation
+    that may itself be malformed."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 101]))
+    k = draw(st.one_of(LENGTHS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    digits = [str(rng.randrange(1, p))] + [str(rng.randrange(p)) for _ in range(k - 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        digits[draw(st.integers(0, k - 1))] = draw(st.sampled_from(AWKWARD))
+    if draw(st.booleans()):
+        digits[0] = draw(st.sampled_from(AWKWARD))
+    gamma = draw(st.sampled_from(["0", "-3", "7", " 2", "x", "+1", "1_0", ""]))
+    text = f"{gamma};" + ",".join(digits) + draw(st.sampled_from(["", ",", " "]))
+    precision = draw(st.sampled_from([1, k, k + 2, max(1, k // 2)]))
+    return text, p, precision
+
+
+@given(digit_literals())
+@settings(max_examples=300, deadline=None)
+def test_parse_value_matches_per_digit_reference(case):
+    assert outcome(parse_value, *case) == outcome(reference_parse_value, *case)
+
+
+@pytest.mark.parametrize("p", [-3, 1, 2, 3, 5, 7, 11, 101])
+def test_parse_value_edge_literals_match_reference(p):
+    edge = [
+        "0;1", "0;0", "0;0,1", "0;1,", "0;,1", "0;1,,0", "0; 1,0", "0;1 ,0",
+        "0;+1,0", "0;-1,0", "0;1_0", "0;\u0661", "0;1,\u0661", "x;1,0",
+        " 3;1,0 ", "3 ;1,0", "-2;1,1,1", "0;01", "0;1,2", "0;1,1;1", "0;",
+        ";1", "1e3;1", "0;1.0", "0;10", "0;1,10", "0;9,9", "0;1,0,0,0,0",
+        "0;6,0,9", "0;1,0,2", "0;" + ",".join("1" * 4301),
+    ]
+    for text in edge:
+        for precision in (1, 4, 4301):
+            want = outcome(reference_parse_value, text, p, precision)
+            assert outcome(parse_value, text, p, precision) == want, (text, p)
+
+
+def test_parse_value_at_the_least_int_digit_limit():
+    # the lowest limit sys.set_int_max_str_digits accepts; the numeral
+    # route reads at most that many digits per int() call
+    rng = random.Random(7)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
+    try:
+        for p in (2, 3, 5, 7):
+            for k in (640, 641, 1281, 4301, PRECISION_CAP):
+                digits = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(k - 1)]
+                text = "-2;" + ",".join(map(str, digits))
+                x = parse_value(text, p, k)
+                assert outcome(parse_value, text, p, k) == outcome(
+                    reference_parse_value, text, p, k
+                )
+                assert x.digits == tuple(digits)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_binary_text_matches_one_divmod_per_digit():
+    # p = 2 prints format(unit, "b") padded and reversed; units with zero
+    # top digits need the padding
+    rng = random.Random(2)
+    for k in [1, 2, 3, 63, 64, 65, 1000, 4299, 4300, 4301, PRECISION_CAP]:
+        for unit in {1, 2**k - 1, rng.randrange(1, 2**k, 2), rng.randrange(1, 2 ** max(1, k // 3), 2)}:
+            want, u = [], unit
+            for _ in range(k):
+                u, d = divmod(u, 2)
+                want.append(d)
+            assert str(PAdic(2, -1, unit, k)) == "-1;" + ",".join(map(str, want))
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,26 @@ def test_lift_refuses_a_wrong_root_of_unity(monkeypatch):
                 lift(a, q, 6)
 
 
+def test_lift_root_is_the_least_of_lift_roots(monkeypatch):
+    # lift_root keeps a running minimum of r0 * zeta^k and sorts nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("lift_root must not sort the roots")
+
+    rng = random.Random(5)
+    cases = [(2, 2), (2, 3), (2, 4), (5, 4), (7, 3), (13, 12), (101, 10), (101, 202)]
+    for p, q in cases:
+        c = bf.int_valuation(q, p)
+        for _ in range(5):
+            x = rng.randrange(1, p**6)
+            while x % p == 0:
+                x = rng.randrange(1, p**6)
+            a = PAdic.from_int(x**q, p, 6 + c)
+            want = lift_roots(a, q, 6).roots[0]
+            monkeypatch.setattr(padicroots.roots, "sorted", refuse, raising=False)
+            assert lift_root(a, q, 6) == want, (p, q, x)
+            monkeypatch.undo()
+
+
 def test_lift_seed_takes_one_discrete_log(monkeypatch, capsys):
     # q = 166667 divides p - 1: the seed is g^s from one discrete log, not
     # the first of the 166,667 solutions power_residue_solve would list
