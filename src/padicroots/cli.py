@@ -26,16 +26,14 @@ from .multinomial import nk_terms
 from .padic_core import PAdic, parse_value
 from .representation import (
     _epsilon_runs,
-    classify_coprime,
-    classify_p,
+    classify,
     j_no_solution_table,
 )
-from .roots import LiftContradictionError, decide, solve
+from .roots import LiftContradictionError, decide, root_count, solve
 
 PRECISION_CAP = 10_000
-# root prints d * precision digits for the d = gcd(q, p-1) roots
-# (gcd(q, 2) at p = 2); a request for more than this many is refused
-# before any work
+# root prints d * precision digits for its d = root_count(p, q) roots; a
+# request for more than this many is refused before any work
 ROOT_DIGIT_BUDGET = 10**5
 # congr lists every solution; a congruence that may have more than this
 # many is refused before any work
@@ -170,7 +168,7 @@ def _parse_equation(args) -> PAdic:
     if not 1 <= args.precision <= PRECISION_CAP:
         raise ValueError(f"precision must be in [1, {PRECISION_CAP}]")
     if args.command == "root":
-        d = math.gcd(args.q, 2 if args.p == 2 else args.p - 1)
+        d = root_count(args.p, args.q)
         if d * args.precision > ROOT_DIGIT_BUDGET:
             raise ValueError(
                 f"{d} roots at precision {args.precision} are "
@@ -244,14 +242,7 @@ def cmd_root(args) -> str:
 
 def cmd_classify(args) -> str:
     a = _parse_equation(args)
-    if args.q == args.p:
-        dec = classify_p(a)
-    elif args.q < args.p:
-        dec = classify_coprime(a, args.q)
-    else:
-        raise ValueError(
-            f"classify needs q = p or prime q < p, got q={args.q}, p={args.p}"
-        )
+    dec = classify(a, args.q)
     recomposed = dec.recompose()
     check_k = a.gamma + min(a.precision, recomposed.precision)
     ok = recomposed.eq_mod(a, check_k)

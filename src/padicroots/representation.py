@@ -25,7 +25,7 @@ epsilon no matter what the first digit is.
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 
 from .congruence import find_primitive_root, index, is_prime
 from .padic_core import PAdic, PrecisionError
@@ -34,6 +34,10 @@ from .roots import LiftContradictionError, decide, lift_root
 FORM_QP = "q_equals_p"
 FORM_PLAIN = "coprime_plain"
 FORM_ETA = "coprime_with_eta"
+
+_PRIME_BELOW_P = "classifier needs a prime exponent q < p"
+# the largest p that j_no_solution_table and derived_epsilon_set take
+TABLE_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -87,103 +91,102 @@ def verify_c1(p: int, q: int) -> bool:
     return True
 
 
-def classify_coprime(x: PAdic, q: int) -> Decomposition:
-    """Decompose x as epsilon * p^i * y^q for prime q < p with gcd(q,p)=1.
-
-    i is the valuation mod q.  When p != 1 (mod q), epsilon is 1.  When
-    p = 1 (mod q), epsilon = eta^j with j = log_eta(d0) mod q: the
-    q-th powers mod p are the powers of eta whose exponent q divides, so
-    d0 * eta^-j is one exactly for that j in [0, q-1].
+def classify(x: PAdic, q: int) -> Decomposition:
+    """Decompose x as epsilon * p^i * y^q, i = v_p(x) mod q, for odd q = p
+    or prime q < p, in the form the module docstring gives for that case:
+    the one place that picks it.  At q = p the digit test is decide's, and
+    the lift reads one digit beyond those of y.  At p = 1 (mod q),
+    j = log_eta(d0) mod q: the q-th powers mod p are the powers of eta
+    whose exponent q divides, so d0 * eta^-j is one exactly for that j.
     """
     if x.is_zero:
         raise ValueError("cannot decompose zero")
-    p = x.p
-    if not is_prime(q) or q >= p:
-        raise ValueError("classifier needs a prime exponent q < p")
+    p, n_digits = x.p, x.precision
+    y_digits = n_digits
+    eta = j = None
+    if q == p:
+        if p == 2:
+            raise ValueError("the q = p classifier is only defined for odd p")
+        if n_digits < 2:
+            raise PrecisionError("decomposition reads two digits; need precision >= 2")
+        form = FORM_QP
+        eps_int = 1 if decide(x.unit_part(), p).solvable else x.unit % (p * p)
+        eps = PAdic.from_int(eps_int, p, n_digits)
+        y_digits -= 1
+    elif q > p:
+        raise ValueError(f"classify needs q = p or prime q < p, got q={q}, p={p}")
+    elif not is_prime(q):
+        raise ValueError(_PRIME_BELOW_P)
+    elif (p - 1) % q != 0:
+        form, eps_int, eps = FORM_PLAIN, 1, PAdic.one(p, n_digits)
+    else:
+        form = FORM_ETA
+        eta = find_nonresidue_unit(p, q, n_digits)
+        j = index(eta.unit, x.unit % p, p).value % q
+        eps = eta.pow_nat(j) if j else PAdic.one(p, n_digits)
+        eps_int = 1 if j == 0 else None
     i = x.gamma % q
-    n_digits = x.precision
-    if (p - 1) % q != 0:
-        w = x.shift(-i)
-        y = lift_root(w, q, n_digits)
-        return Decomposition(
-            FORM_PLAIN, PAdic.one(p, n_digits), i, y, q, epsilon_int=1
-        )
-    eta = find_nonresidue_unit(p, q, n_digits)
-    j = index(eta.unit, x.unit % p, p).value % q
-    eps = eta.pow_nat(j) if j else PAdic.one(p, n_digits)
-    y = lift_root(x.shift(-i).div(eps), q, n_digits)
-    return Decomposition(
-        FORM_ETA,
-        eps,
-        i,
-        y,
-        q,
-        epsilon_int=1 if j == 0 else None,
-        eta=eta,
-        eta_exponent=j,
-    )
+    y = lift_root(x.shift(-i).div(eps), q, y_digits)
+    return Decomposition(form, eps, i, y, q, eps_int, eta, j)
+
+
+def classify_coprime(x: PAdic, q: int) -> Decomposition:
+    """classify for prime q < p; q >= p is refused here as well."""
+    if not x.is_zero and q >= x.p:
+        raise ValueError(_PRIME_BELOW_P)
+    return classify(x, q)
 
 
 def classify_p(x: PAdic) -> Decomposition:
-    """Decompose x as epsilon * p^j * y^p for odd p.
+    """classify for q = p (odd p)."""
+    return classify(x, x.p)
 
-    epsilon is 1 when decide finds the unit part a p-th power (the q = p
-    digit test), otherwise the integer d0 + d1*p (which then lies in
-    epsilon_set(p)); j is the valuation mod p.
-    """
-    if x.is_zero:
-        raise ValueError("cannot decompose zero")
-    p = x.p
-    if p == 2:
-        raise ValueError("the q = p classifier is only defined for odd p")
-    if x.precision < 2:
-        raise PrecisionError("decomposition reads two digits; need precision >= 2")
-    j = x.gamma % p
-    n_digits = x.precision
-    eps_int = 1 if decide(x.unit_part(), p).solvable else x.unit % (p * p)
-    eps = PAdic.from_int(eps_int, p, n_digits)
-    y = lift_root(x.shift(-j).div(eps), p, n_digits - 1)
-    return Decomposition(FORM_QP, eps, j, y, p, epsilon_int=eps_int)
+
+def _second_digits(p: int) -> list[int]:
+    """j_i = ((i^p - i) mod p^2) / p for i in [1, p-1]: i + j*p passes the
+    digit test i^p = i + j*p (mod p^2) exactly at j = j_i."""
+    pp = p * p
+    return [(pow(i, p, pp) - i) % pp // p for i in range(1, p)]
 
 
 def epsilon_set(p: int) -> tuple[int, ...]:
     """The unit classes needed to absorb non-p-th-power unit parts:
     {1} together with every two-digit integer i + j*p (i in [1, p-1],
-    j in [0, p-1]) failing the digit test i^p = i + j*p (mod p^2)."""
+    j in [0, p-1]) failing the digit test i^p = i + j*p (mod p^2).
+
+    That is 1, then each run j*p+1 .. j*p+p-1 with every i whose j_i = j
+    left out (1 is always left out of the j = 0 run: j_1 = 0)."""
     if not is_prime(p) or p == 2:
         raise ValueError("epsilon_set is defined for odd primes")
-    out = {1}
-    pp = p * p
-    for i in range(1, p):
-        ip = pow(i, p, pp)
-        for j in range(p):
-            if ip != (i + j * p) % pp:
-                out.add(i + j * p)
-    return tuple(sorted(out))
+    keep = bytearray([0] + [1] * (p - 1)) * p
+    for i, j in enumerate(_second_digits(p), 1):
+        keep[i + j * p] = 0
+    return (1, *compress(range(p * p), keep))
+
+
+def _check_table_bound(p: int) -> None:
+    if p > TABLE_BOUND:
+        raise ValueError(f"table bound capped at {TABLE_BOUND}")
 
 
 def j_no_solution_table(p_max: int) -> dict[int, tuple[int, ...]]:
     """For each odd prime p <= p_max, the second digits j in [0, p-1] such
     that i^p = i + j*p (mod p^2) has no solution i in [1, p-1]."""
-    if p_max > 10_000:
-        raise ValueError("table bound capped at 10000")
+    _check_table_bound(p_max)
     return {p: _j_row(p) for p in range(3, p_max + 1) if is_prime(p)}
 
 
 def _j_row(p: int) -> tuple[int, ...]:
-    """The j_no_solution_table row of one odd prime p."""
-    pp = p * p
-    # i^p = i + j*p (mod p^2) pins j = (i^p - i)/p mod p
-    solvable = {((pow(i, p, pp) - i) % pp) // p for i in range(1, p)}
-    return tuple(j for j in range(p) if j not in solvable)
+    """The j_no_solution_table row of one odd prime p: the j no j_i hits."""
+    hit = set(_second_digits(p))
+    return tuple(j for j in range(p) if j not in hit)
 
 
 def derived_epsilon_set(p: int) -> tuple[int, ...]:
     """{1} plus every i + j*p (i in [1, p-1]) with j drawn from the
     no-solution table: the epsilon classes forced purely by the second
     digit."""
-    if p > 10_000:
-        raise ValueError("table bound capped at 10000")
+    _check_table_bound(p)
     js = _j_row(p) if p >= 3 and is_prime(p) else ()
     return tuple(_epsilon_runs(p, js))
 

@@ -258,6 +258,12 @@ def _newton(x: int, q: int, u: int, p: int, n_digits: int, c: int) -> int:
     return x % p**n_digits
 
 
+def root_count(p: int, q: int) -> int:
+    """d = #mu_q(Q_p), the number of roots of x^q = a when there are any:
+    mu(Q_p) is mu_(p-1) for odd p and {1, -1} for p = 2."""
+    return math.gcd(q, 2 if p == 2 else p - 1)
+
+
 def _unit_roots(a: PAdic, q: int, n_digits: int) -> tuple[Iterator[int], int, int]:
     """The unit parts of every root of x^q = a, mod p**n_digits, with the
     c = v_p(q) and the root count d they were built with: one Newton lift
@@ -293,9 +299,8 @@ def _unit_roots(a: PAdic, q: int, n_digits: int) -> tuple[Iterator[int], int, in
         )
     mod = p**n_digits
     x = _newton(seed, q, a.unit % (mod * p**c), p, n_digits, c)
-    # mu(Q_p) is mu_(p-1) for odd p and {1, -1} for p = 2; its d-th roots
-    # of unity are the powers of zeta
-    d = math.gcd(q, 2 if p == 2 else p - 1)
+    # the d-th roots of unity of Q_p are the powers of zeta
+    d = root_count(p, q)
     if d > 2:
         z = pow(find_primitive_root(p), (p - 1) // d, p)
         zeta = _newton(z, d, 1, p, n_digits, 0)

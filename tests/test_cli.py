@@ -502,6 +502,47 @@ def test_expand_answers_at_large_k(capsys):
     assert "N_1000 = 0" in out
 
 
+def test_expand_with_no_terms_says_none(capsys):
+    # x^1 has no cross terms, so N_k has nothing to list
+    code, out = run_cli(
+        capsys, "expand", "--p", "3", "--q", "1", "--digits", "1,2", "--k", "2"
+    )
+    assert code == 0
+    assert out == (
+        "exponent q=1, prime p=3, digit position k=2, digits: 1,2\n"
+        "leading term q*d0^(q-1)*d_k = 0\n"
+        "N_2 terms (m_0,...,m_1):\n"
+        "  (none)\n"
+        "N_2 = 0\n"
+        "coefficient of p^2 = 0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("expand --p 4 --q 2 --digits 1 --k 1", "p must be prime, got 4"),
+        ("expand --p 3 --q 0 --digits 1 --k 1", "q and k must be at least 1"),
+        ("expand --p 3 --q 2 --digits 1 --k 0", "q and k must be at least 1"),
+        ("expand --p 3 --q 2 --digits 1,,2 --k 1", "malformed digit list '1,,2'"),
+        ("expand --p 3 --q 2 --digits 1,3 --k 1", "digit 3 out of range for p=3"),
+        ("table --p-max 2", "--p-max must be at least 3"),
+        ("congr linear --a 2 --n 5", "linear congruence needs --b"),
+        ("congr pow-residue --a 2 --n 3", "power residue congruence needs --m"),
+    ],
+    ids=[
+        "expand-p4", "expand-q0", "expand-k0", "expand-empty-digit",
+        "expand-digit3-p3", "table-pmax2", "linear-no-b", "pow-residue-no-m",
+    ],
+)
+def test_offline_argument_errors(capsys, argv, message):
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: " + message + "\n"
+
+
 # ---------------------------------------------------------------------------
 # error handling
 

@@ -15,13 +15,16 @@ import bruteforce as bf
 from padicroots import (
     PAdic,
     check_qp,
+    classify,
     classify_coprime,
     classify_p,
     decide,
     derived_epsilon_set,
     epsilon_set,
     find_nonresidue_unit,
+    index,
     j_no_solution_table,
+    lift_root,
     verify_c1,
 )
 
@@ -84,6 +87,26 @@ def test_epsilon_set_membership_definition():
             for j in range(p):
                 member = pow(i, p, p * p) != (i + j * p) % (p * p)
                 assert ((i + j * p) in s) == member or (i + j * p) == 1
+
+
+def epsilon_set_by_pow_compare(p):
+    """The definition, one digit test per two-digit unit, as a sorted set."""
+    out = {1}
+    for i in range(1, p):
+        for j in range(p):
+            if pow(i, p, p * p) != (i + j * p) % (p * p):
+                out.add(i + j * p)
+    return tuple(sorted(out))
+
+
+def test_epsilon_set_matches_pow_compare():
+    for p in bf.primes_upto(150)[1:] + [211, 401]:
+        want = epsilon_set_by_pow_compare(p)
+        assert epsilon_set(p) == want
+        assert len(want) == 1 + (p - 1) ** 2
+    for p in (1, 2, 4, 9):
+        with pytest.raises(ValueError):
+            epsilon_set(p)
 
 
 def test_derived_epsilon_sets():
@@ -277,6 +300,77 @@ def test_classify_p_needs_two_digits():
 
     with pytest.raises(PrecisionError):
         classify_p(PAdic.from_int(4, 3, 1))
+
+
+# ---------------------------------------------------------------------------
+# one classifier: classify picks the case, the two old names are its views
+
+
+def reference_decomposition(x, q):
+    """The fields the two per-case classifiers returned before classify
+    held both cases: (form, epsilon, i, y, epsilon_int, eta, eta_exponent)."""
+    p, n = x.p, x.precision
+    i = x.gamma % q
+    if q == p:
+        eps_int = 1 if decide(x.unit_part(), p).solvable else x.unit % (p * p)
+        eps = PAdic.from_int(eps_int, p, n)
+        y = lift_root(x.shift(-i).div(eps), p, n - 1)
+        return ("q_equals_p", eps, i, y, eps_int, None, None)
+    if (p - 1) % q != 0:
+        y = lift_root(x.shift(-i), q, n)
+        return ("coprime_plain", PAdic.one(p, n), i, y, 1, None, None)
+    eta = find_nonresidue_unit(p, q, n)
+    j = index(eta.unit, x.unit % p, p).value % q
+    eps = eta.pow_nat(j) if j else PAdic.one(p, n)
+    y = lift_root(x.shift(-i).div(eps), q, n)
+    return ("coprime_with_eta", eps, i, y, 1 if j == 0 else None, eta, j)
+
+
+def test_classify_matches_the_per_case_classifiers():
+    rng = random.Random(12)
+    pairs = ((3, 3), (5, 5), (101, 101), (3, 2), (7, 3), (13, 3), (31, 5),
+             (5, 3), (11, 7), (101, 3))
+    for p, q in pairs:
+        for _ in range(25):
+            u = rng.randrange(1, p**12)
+            if u % p == 0:
+                u += 1
+            x = PAdic.from_unit(p, rng.randrange(-2 * q, 2 * q), u, 12)
+            d = classify(x, q)
+            got = (d.form, d.epsilon, d.delta_exponent, d.y, d.epsilon_int,
+                   d.eta, d.eta_exponent)
+            assert got == reference_decomposition(x, q), (p, q, x)
+            assert d.q == q
+            view = classify_p(x) if q == p else classify_coprime(x, q)
+            assert view == d
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: classify(PAdic.from_int(7, 5, 6), 10),
+         "classify needs q = p or prime q < p, got q=10, p=5"),
+        (lambda: classify(PAdic.from_int(7, 5, 6), 6),
+         "classify needs q = p or prime q < p, got q=6, p=5"),
+        (lambda: classify(PAdic.from_int(7, 5, 6), 4),
+         "classifier needs a prime exponent q < p"),
+        (lambda: classify(PAdic.from_int(3, 2, 6), 2),
+         "the q = p classifier is only defined for odd p"),
+        (lambda: classify(PAdic.zero(5, 4), 10), "cannot decompose zero"),
+        (lambda: classify_coprime(PAdic.from_int(7, 5, 6), 7),
+         "classifier needs a prime exponent q < p"),
+        (lambda: classify_coprime(PAdic.from_int(7, 5, 6), 5),
+         "classifier needs a prime exponent q < p"),
+        (lambda: classify_coprime(PAdic.zero(5, 4), 7), "cannot decompose zero"),
+        (lambda: classify_p(PAdic.zero(2, 4)), "cannot decompose zero"),
+    ],
+    ids=["q-above-p", "q-next-above-p", "q-composite", "p2", "zero", "view-q-above-p",
+         "view-q-equals-p", "view-zero", "p-view-zero"],
+)
+def test_classify_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,91 @@
+"""Record what the command line answers to a fixed set of requests.
+
+    python3 tools/cli_snapshot.py OUT.json [--src DIR]
+
+Runs padicroots.cli.main in process for each request and writes a JSON
+list of [argv, exit code, stdout, stderr].  Two snapshots of the same
+requests diff to nothing when two versions of the program print the same
+bytes.  The requests are:
+
+* every warm-up and regular request of the benchmark workloads
+  (perfbench/workloads.py, imported read-only) at seeds 1-5, each in plain
+  and in structured form;
+* every `$ padicroots ...` command in README.md, in both forms;
+* a classify grid: p in {2, 3, 5, 7, 11, 13, 31, 101}, q in
+  (2, 3, 4, 5, 7, 10, p, p+1), six values each, which reaches all three
+  forms and every classify refusal.
+
+--src picks the directory padicroots is imported from (default: this
+checkout's src), so one checkout's requests can run against another's
+program.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import shlex
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 6)
+CLASSIFY_PRIMES = (2, 3, 5, 7, 11, 13, 31, 101)
+CLASSIFY_VALUES = ("1", "2", "15", "-7/9", "2;1,0,2", "-1;1,1")
+
+
+def both_forms(argv: list[str]) -> list[list[str]]:
+    """argv without any --format, then with --format structured."""
+    plain = list(argv)
+    if "--format" in plain:
+        k = plain.index("--format")
+        del plain[k : k + 2]
+    return [plain, plain + ["--format", "structured"]]
+
+
+def requests() -> list[list[str]]:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    out = []
+    for name, build in WORKLOADS.items():
+        for seed in SEEDS:
+            w = build(seed)
+            for argv in w.warmup + w.requests:
+                out += both_forms(argv)
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("$ padicroots "):
+            out += both_forms(shlex.split(line)[2:])
+    for p in CLASSIFY_PRIMES:
+        for q in (2, 3, 4, 5, 7, 10, p, p + 1):
+            for val in CLASSIFY_VALUES:
+                out.append(["classify", "--p", str(p), "--q", str(q), f"--val={val}"])
+    return out
+
+
+def run(main, argv: list[str]) -> list:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refusals and --help
+            code = e.code
+    return [argv, code, stdout.getvalue(), stderr.getvalue()]
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", help="JSON file to write")
+    ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding padicroots")
+    args = ap.parse_args()
+    reqs = requests()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from padicroots.cli import main as cli_main
+
+    records = [run(cli_main, argv) for argv in reqs]
+    Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
+    print(f"{len(records)} requests -> {args.out}")
+
+
+if __name__ == "__main__":
+    main()
