@@ -14,7 +14,8 @@ call and not kept.
 """
 
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,46 +24,43 @@ from functools import lru_cache
 _UNIT_GROUP_TABLE_ENTRIES = 1 << 17
 
 
+def _prime_factors(n: int) -> Iterator[int]:
+    """The prime factors of n >= 1 in increasing order, each as often as it
+    divides n: 2 and 3, then trial division by 6k - 1 and 6k + 1."""
+    for f in (2, 3):
+        while n % f == 0:
+            yield f
+            n //= f
+    f = 5
+    while f * f <= n:
+        for d in (f, f + 2):
+            while n % d == 0:
+                yield d
+                n //= d
+        f += 6
+    if n > 1:
+        yield n
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether n > 1 is its own least prime factor; the search for that
+    factor stops at the first one found."""
+    return n > 1 and next(_prime_factors(n)) == n
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {prime: exponent} of n >= 1 by trial division."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return dict(Counter(_prime_factors(n)))
 
 
 def int_valuation(n: int, p: int) -> int:
-    """Exponent of the largest power of p dividing n (n must be nonzero)."""
+    """Exponent of the largest power of p >= 2 dividing n (n must be
+    nonzero)."""
+    if p < 2:
+        raise ValueError(f"valuation base must be at least 2, got {p}")
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
     v = 0

@@ -122,6 +122,11 @@ def _read_numeral(s: str, p: int) -> int:
     return value
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
 @dataclass(frozen=True)
 class PAdic:
     p: int
@@ -131,8 +136,7 @@ class PAdic:
     is_zero: bool = False
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        _require_prime(self.p)
         if self.precision < 1:
             raise ValueError("precision must be at least 1")
         if self.is_zero:
@@ -159,6 +163,7 @@ class PAdic:
     def from_unit(cls, p: int, gamma: int, unit: int, precision: int) -> "PAdic":
         """Value p**gamma * unit where unit is coprime to p; the residue is
         reduced mod p**precision."""
+        _require_prime(p)
         return cls(p, gamma, unit % p**precision, precision)
 
     @classmethod
@@ -166,6 +171,7 @@ class PAdic:
         """Expansion of the rational num/den to `precision` unit digits."""
         if den == 0:
             raise ZeroDivisionError("rational with zero denominator")
+        _require_prime(p)
         if num == 0:
             return cls.zero(p, precision)
         vn = int_valuation(num, p)
@@ -189,6 +195,7 @@ class PAdic:
         digits = [int(d) for d in digits]
         if not digits:
             raise ValueError("empty digit vector")
+        _require_prime(p)
         value = _from_digits(digits, p, {})
         if value == 0:
             return cls.zero(p, len(digits))
@@ -239,20 +246,24 @@ class PAdic:
     # arithmetic
 
     def _coerce(self, other) -> "PAdic":
-        if isinstance(other, PAdic):
-            return other
+        """other as a PAdic over self's prime: an int is expanded to self's
+        precision, and a PAdic over another prime is refused."""
         if isinstance(other, int):
             return PAdic.from_int(other, self.p, self.precision)
-        raise TypeError(f"cannot combine PAdic with {type(other).__name__}")
-
-    def _same_p(self, other: "PAdic") -> None:
-        if self.p != other.p:
+        if not isinstance(other, PAdic):
+            raise TypeError(f"cannot combine PAdic with {type(other).__name__}")
+        if other.p != self.p:
             raise ValueError(f"mixed primes {self.p} and {other.p}")
+        return other
+
+    def _scaled(self, g: int) -> int:
+        """The integer self / p**g for g <= gamma: the unit residue times
+        p**(gamma - g)."""
+        return self.unit * self.p ** (self.gamma - g)
 
     def mul(self, other) -> "PAdic":
         """Product; unit precision is the minimum of the operands'."""
         other = self._coerce(other)
-        self._same_p(other)
         n = min(self.precision, other.precision)
         if self.is_zero or other.is_zero:
             return PAdic.zero(self.p, n)
@@ -268,7 +279,6 @@ class PAdic:
         value is returned.
         """
         other = self._coerce(other)
-        self._same_p(other)
         if self.is_zero:
             return other
         if other.is_zero:
@@ -276,11 +286,7 @@ class PAdic:
         g = min(self.gamma, other.gamma)
         cap = min(self.gamma + self.precision, other.gamma + other.precision)
         rel = cap - g
-        mod = self.p**rel
-        s = (
-            self.unit * self.p ** (self.gamma - g)
-            + other.unit * self.p ** (other.gamma - g)
-        ) % mod
+        s = (self._scaled(g) + other._scaled(g)) % self.p**rel
         if s == 0:
             return PAdic.zero(self.p, rel)
         v = int_valuation(s, self.p)
@@ -336,7 +342,6 @@ class PAdic:
         valuation at least k.  Raises PrecisionError when the operands are
         not known that far."""
         other = self._coerce(other)
-        self._same_p(other)
         if self.is_zero and other.is_zero:
             return True
         if self.is_zero or other.is_zero:
@@ -350,12 +355,7 @@ class PAdic:
             raise PrecisionError(
                 f"comparison mod p^{k} exceeds the known precision p^{cap}"
             )
-        mod = self.p ** (k - g)
-        d = (
-            self.unit * self.p ** (self.gamma - g)
-            - other.unit * self.p ** (other.gamma - g)
-        )
-        return d % mod == 0
+        return (self._scaled(g) - other._scaled(g)) % self.p ** (k - g) == 0
 
     # ------------------------------------------------------------------
     # misc

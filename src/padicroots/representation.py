@@ -27,7 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, compress
 
-from .congruence import find_primitive_root, index, is_prime
+from .congruence import find_primitive_root, index, int_valuation, is_prime
 from .padic_core import PAdic, PrecisionError
 from .roots import LiftContradictionError, decide, lift_root
 
@@ -36,7 +36,8 @@ FORM_PLAIN = "coprime_plain"
 FORM_ETA = "coprime_with_eta"
 
 _PRIME_BELOW_P = "classifier needs a prime exponent q < p"
-# the largest p that j_no_solution_table and derived_epsilon_set take
+# the largest p that the table functions take: j_no_solution_table,
+# epsilon_set and derived_epsilon_set
 TABLE_BOUND = 10_000
 
 
@@ -94,15 +95,15 @@ def verify_c1(p: int, q: int) -> bool:
 def classify(x: PAdic, q: int) -> Decomposition:
     """Decompose x as epsilon * p^i * y^q, i = v_p(x) mod q, for odd q = p
     or prime q < p, in the form the module docstring gives for that case:
-    the one place that picks it.  At q = p the digit test is decide's, and
-    the lift reads one digit beyond those of y.  At p = 1 (mod q),
+    the one place that picks it.  y gets precision - v_p(q) digits: the
+    lift reads v_p(q) digits beyond those of the root.  At q = p the digit
+    test is decide's.  At p = 1 (mod q),
     j = log_eta(d0) mod q: the q-th powers mod p are the powers of eta
     whose exponent q divides, so d0 * eta^-j is one exactly for that j.
     """
     if x.is_zero:
         raise ValueError("cannot decompose zero")
     p, n_digits = x.p, x.precision
-    y_digits = n_digits
     eta = j = None
     if q == p:
         if p == 2:
@@ -112,7 +113,6 @@ def classify(x: PAdic, q: int) -> Decomposition:
         form = FORM_QP
         eps_int = 1 if decide(x.unit_part(), p).solvable else x.unit % (p * p)
         eps = PAdic.from_int(eps_int, p, n_digits)
-        y_digits -= 1
     elif q > p:
         raise ValueError(f"classify needs q = p or prime q < p, got q={q}, p={p}")
     elif not is_prime(q):
@@ -126,7 +126,7 @@ def classify(x: PAdic, q: int) -> Decomposition:
         eps = eta.pow_nat(j) if j else PAdic.one(p, n_digits)
         eps_int = 1 if j == 0 else None
     i = x.gamma % q
-    y = lift_root(x.shift(-i).div(eps), q, y_digits)
+    y = lift_root(x.shift(-i).div(eps), q, n_digits - int_valuation(q, p))
     return Decomposition(form, eps, i, y, q, eps_int, eta, j)
 
 
@@ -156,6 +156,7 @@ def epsilon_set(p: int) -> tuple[int, ...]:
 
     That is 1, then each run j*p+1 .. j*p+p-1 with every i whose j_i = j
     left out (1 is always left out of the j = 0 run: j_1 = 0)."""
+    _check_table_bound(p)
     if not is_prime(p) or p == 2:
         raise ValueError("epsilon_set is defined for odd primes")
     keep = bytearray([0] + [1] * (p - 1)) * p

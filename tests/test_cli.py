@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 import padicroots.representation
+import padicroots.roots
 from padicroots.cli import CONGR_SOLUTION_CAP, ROOT_DIGIT_BUDGET, _json, main
+from padicroots.roots import Verdict
 
 
 def run_cli(capsys, *argv):
@@ -529,10 +531,14 @@ def test_expand_with_no_terms_says_none(capsys):
         ("table --p-max 2", "--p-max must be at least 3"),
         ("congr linear --a 2 --n 5", "linear congruence needs --b"),
         ("congr pow-residue --a 2 --n 3", "power residue congruence needs --m"),
+        ("congr linear --a 1 --b 1 --n 0", "modulus must be nonzero"),
+        ("congr pow-residue --a 2 --n 0 --m 7", "exponent must be at least 1"),
+        ("congr pow-residue --a 2 --n 2 --m 1", "modulus must be at least 2"),
     ],
     ids=[
         "expand-p4", "expand-q0", "expand-k0", "expand-empty-digit",
         "expand-digit3-p3", "table-pmax2", "linear-no-b", "pow-residue-no-m",
+        "linear-n0", "pow-residue-n0", "pow-residue-m1",
     ],
 )
 def test_offline_argument_errors(capsys, argv, message):
@@ -541,6 +547,76 @@ def test_offline_argument_errors(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: " + message + "\n"
+
+
+# ---------------------------------------------------------------------------
+# internal errors: one computation made wrong on purpose must exit 3
+
+
+def wrong_seed(monkeypatch):
+    real = padicroots.roots.power_residue_root
+    monkeypatch.setattr(
+        padicroots.roots, "power_residue_root", lambda m, a, p: real(m, a, p) + 1
+    )
+
+
+def wrong_last_digit(monkeypatch):
+    # at q = 2 and odd p the root of unity is -1, which _newton never lifts,
+    # so the check of each root is the one that fails
+    real = padicroots.roots._newton
+
+    def newton(x, q, u, p, n_digits, c):
+        return (real(x, q, u, p, n_digits, c) + p ** (n_digits - 1)) % p**n_digits
+
+    monkeypatch.setattr(padicroots.roots, "_newton", newton)
+
+
+def wrong_recomposition(monkeypatch):
+    real = padicroots.representation.Decomposition.recompose
+    monkeypatch.setattr(
+        padicroots.representation.Decomposition, "recompose", lambda d: real(d).mul(2)
+    )
+
+
+def eta_a_power(monkeypatch):
+    monkeypatch.setattr(
+        padicroots.representation, "decide", lambda a, q: Verdict(True, "coprime")
+    )
+
+
+@pytest.mark.parametrize(
+    "fault, argv, message",
+    [
+        (
+            wrong_seed,
+            "root --p 13 --q 2 --val 3",
+            "seed 5 fails x^2 = 3 (mod 13); criteria and lifting disagree",
+        ),
+        (
+            wrong_last_digit,
+            "root --p 7 --q 2 --val 2 --precision 4",
+            "lifted value 0;3,1,2,0 fails r^2 = a mod p^4",
+        ),
+        (
+            wrong_recomposition,
+            "classify --p 5 --q 2 --val 6",
+            "decomposition failed to recompose",
+        ),
+        (
+            eta_a_power,
+            "classify --p 7 --q 3 --val 2",
+            "primitive root 3 mod 7 tested as a 3-th power",
+        ),
+    ],
+    ids=["seed", "root", "recomposition", "nonresidue"],
+)
+def test_internal_error_exits_3(capsys, monkeypatch, fault, argv, message):
+    fault(monkeypatch)
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: " + message + "\n"
 
 
 # ---------------------------------------------------------------------------

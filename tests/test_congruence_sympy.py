@@ -1,8 +1,9 @@
-"""Differential tests of the discrete-log layer against sympy 1.14.
+"""Differential tests of the congruence layer against sympy 1.14.
 
-sympy's `primitive_root`, `discrete_log` and `nthroot_mod` are a second,
-independent route to the answers of `find_primitive_root`, `index` and
-`power_residue_solve`.  The moduli reach well past the exhaustive tests'
+sympy's `isprime` and `factorint` are a second, independent route to the
+answers of `is_prime` and `factorize`, and its `primitive_root`,
+`discrete_log` and `nthroot_mod` to those of `find_primitive_root`, `index`
+and `power_residue_solve`.  The moduli reach well past the exhaustive tests'
 bound of 2000, up to about 10^7, where the giant-step walk runs long.
 """
 
@@ -12,9 +13,11 @@ import math
 import random
 
 import pytest
+from sympy import factorint, isprime
 from sympy.ntheory import discrete_log, nthroot_mod, primitive_root
 
-from padicroots import euler_phi, find_primitive_root, index, power_residue_solve
+from padicroots import euler_phi, find_primitive_root, index, is_prime, power_residue_solve
+from padicroots.congruence import factorize
 
 PRIMES = [101, 1009, 7919, 65537, 104729, 524287, 999983, 1000003]
 PRIME_POWERS = [
@@ -36,6 +39,23 @@ PRIME_POWERS = [
     2 * 23**5,
 ]
 MODULI = PRIMES + PRIME_POWERS
+
+
+def test_is_prime_and_factorize_match_sympy():
+    for n in range(-5, 20_001):
+        assert is_prime(n) == isprime(n), n
+    for n in range(1, 20_001):
+        assert factorize(n) == factorint(n), n
+    rng = random.Random(12)
+    drawn = [rng.randrange(1, 10**12) for _ in range(40)]
+    # products of two primes near 10^6, of the forms 6k - 1 and 6k + 1:
+    # trial division runs up to the smaller one.  Then two primes and the
+    # square of one.
+    semiprimes = [999_983 * 1_000_003, 999_979 * 999_983, 1_000_003 * 1_000_033]
+    more = [999_999_999_989, 1_000_000_007, 999_983**2]
+    for n in drawn + semiprimes + more:
+        assert factorize(n) == factorint(n), n
+        assert is_prime(n) == isprime(n), n
 
 
 def _units(m: int, rng: random.Random, count: int) -> list[int]:

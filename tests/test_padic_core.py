@@ -7,15 +7,19 @@ run as hypothesis properties over random values.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+import padicroots
 from padicroots import PAdic, PrecisionError, parse_value
 from padicroots.cli import PRECISION_CAP
 from padicroots.padic_core import _BLOCK, _CHUNK, _LEAF, _from_digits
@@ -58,6 +62,35 @@ def test_from_rational_rejects_bad_input():
         PAdic.from_rational(1, 0, 5, 4)
     with pytest.raises(ValueError):
         PAdic.from_rational(1, 3, 6, 4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("int_valuation(5, 1)", "valuation base must be at least 2, got 1"),
+        ("PAdic.from_int(3, 1, 5)", "p must be prime, got 1"),
+        ("parse_value('7/2', 1, 4)", "p must be prime, got 1"),
+        ("PAdic.from_digits(1, 0, [1, 2])", "p must be prime, got 1"),
+        ("PAdic.from_int(3, 0, 5)", "p must be prime, got 0"),
+        ("PAdic.from_unit(0, 2, 3, 5)", "p must be prime, got 0"),
+    ],
+)
+def test_base_below_two_is_refused(call, message):
+    # dividing by p = 1 never ends, so each call runs in a child process
+    # that the timeout stops if it hangs
+    code = (
+        "from padicroots import PAdic, int_valuation, parse_value\n"
+        f"try:\n    {call}\nexcept ValueError as e:\n    print(e)\n"
+    )
+    src = str(Path(padicroots.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, message + "\n", "")
 
 
 def test_from_digits_carry_normalization():
@@ -111,6 +144,23 @@ def test_mul_truncation_inverse_pair():
 def test_mul_mixed_primes_rejected():
     with pytest.raises(ValueError):
         PAdic.from_int(2, 5, 3).mul(PAdic.from_int(2, 7, 3))
+
+
+def test_operands_int_type_and_prime():
+    x = PAdic.from_int(5, 7, 4)
+    assert x * 2 == 2 * x == x.mul(PAdic.from_int(2, 7, 4))
+    assert x + 1 == 1 + x == PAdic.from_int(6, 7, 4)
+    assert x.eq_mod(12, 1) and not x.eq_mod(12, 2)
+    with pytest.raises(TypeError, match="^cannot combine PAdic with float$"):
+        x * 1.5
+    y = PAdic.from_int(5, 5, 4)
+    for op in (PAdic.mul, PAdic.add, PAdic.sub, PAdic.div, lambda a, b: a.eq_mod(b, 1)):
+        with pytest.raises(ValueError, match="^mixed primes 7 and 5$"):
+            op(x, y)
+    # the operands are checked before anything is computed: a zero over
+    # another prime is refused as mixed, not as a zero divisor
+    with pytest.raises(ValueError, match="^mixed primes 7 and 5$"):
+        x.div(PAdic.zero(5, 4))
 
 
 def test_add_with_carry_into_gamma():
@@ -430,6 +480,9 @@ def test_ring_laws_to_precision(p, data):
     a = x.add(y)
     b = y.add(x)
     assert a == b
+    # both operands carry 8 digits, so x - y is known mod p^(min gamma + 8)
+    assert (x - y + y).eq_mod(x, min(x.gamma, y.gamma) + 8)
+    assert 3 - x == -(x - 3)
 
 
 @given(st.sampled_from(PRIMES), st.data())

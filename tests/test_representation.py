@@ -12,6 +12,7 @@ import random
 import pytest
 
 import bruteforce as bf
+import padicroots.representation
 from padicroots import (
     PAdic,
     check_qp,
@@ -107,6 +108,14 @@ def test_epsilon_set_matches_pow_compare():
     for p in (1, 2, 4, 9):
         with pytest.raises(ValueError):
             epsilon_set(p)
+
+
+def test_epsilon_set_is_refused_above_the_table_bound(monkeypatch):
+    # the bound is checked before the (p-1)^2 entries are built
+    monkeypatch.setattr(padicroots.representation, "TABLE_BOUND", 100)
+    with pytest.raises(ValueError, match="^table bound capped at 100$"):
+        epsilon_set(101)
+    assert len(epsilon_set(97)) == 1 + 96**2
 
 
 def test_derived_epsilon_sets():

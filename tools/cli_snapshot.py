@@ -13,7 +13,11 @@ bytes.  The requests are:
 * every `$ padicroots ...` command in README.md, in both forms;
 * a classify grid: p in {2, 3, 5, 7, 11, 13, 31, 101}, q in
   (2, 3, 4, 5, 7, 10, p, p+1), six values each, which reaches all three
-  forms and every classify refusal.
+  forms and every classify refusal;
+* a congr grid in both forms: linear with a in {0, 3, -4}, b in
+  {0, 2, -5} and n in {-6, 1, 12, 35}, and pow-residue with n in
+  {1, 2, 3, 6}, a in {1, 2, 7} and m in {7, 12, 27, 50}, which reaches
+  a = 0 (mod n), a negative modulus and moduli whose units are not cyclic.
 
 --src picks the directory padicroots is imported from (default: this
 checkout's src), so one checkout's requests can run against another's
@@ -26,6 +30,7 @@ import io
 import json
 import shlex
 import sys
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +65,10 @@ def requests() -> list[list[str]]:
         for q in (2, 3, 4, 5, 7, 10, p, p + 1):
             for val in CLASSIFY_VALUES:
                 out.append(["classify", "--p", str(p), "--q", str(q), f"--val={val}"])
+    for a, b, n in product((0, 3, -4), (0, 2, -5), (-6, 1, 12, 35)):
+        out += both_forms(["congr", "linear", f"--a={a}", f"--b={b}", f"--n={n}"])
+    for n, a, m in product((1, 2, 3, 6), (1, 2, 7), (7, 12, 27, 50)):
+        out += both_forms(["congr", "pow-residue", f"--a={a}", f"--n={n}", f"--m={m}"])
     return out
 
 
