@@ -370,6 +370,17 @@ def cmd_expand(args) -> str:
     for d in digits:
         if not 0 <= d < args.p:
             raise ValueError(f"digit {d} out of range for p={args.p}")
+    # every integer printed (the terms, N_k, the lead, and the coefficients,
+    # which sum to k^q) is at most base^q; its digit count comes from a log,
+    # so nothing is raised to the q-th power before the request is admitted
+    base = max(args.k, sum(digits[: args.k + 1]))
+    size = int(args.q * math.log10(base)) + 1
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if size > limit:
+        raise ValueError(
+            f"integers up to {base}^{args.q} ({size} digits) exceed the "
+            f"{limit}-digit limit"
+        )
     padded = digits + [0] * max(0, args.k - len(digits) + 1)
     terms = nk_terms(args.q, args.k)
     values = [t.evaluate(padded) for t in terms]

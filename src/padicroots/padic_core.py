@@ -7,9 +7,10 @@ p**precision; the digit vector is a view of that residue.  gamma (the
 valuation) is always exact, so the absolute error of a value is
 O(p**(gamma + precision)).
 
-Values are immutable.  Zero is a distinct value with norm 0; an addition
-whose operands cancel beyond the guaranteed precision also returns zero,
-meaning "indistinguishable from zero at that precision".
+Values are immutable.  A zero is unit 0 known modulo p**(gamma +
+precision), gamma then being no valuation; arithmetic runs one formula
+for zeros and nonzeros alike, and a sum whose known digits all cancel is
+such a zero.  An int operand is exact and never narrows a result.
 """
 
 from dataclasses import dataclass
@@ -133,27 +134,26 @@ class PAdic:
     gamma: int
     unit: int
     precision: int
-    is_zero: bool = False
 
     def __post_init__(self):
         _require_prime(self.p)
         if self.precision < 1:
             raise ValueError("precision must be at least 1")
-        if self.is_zero:
-            if self.unit != 0 or self.gamma != 0:
-                raise ValueError("the zero value must have unit=0 and gamma=0")
-            return
-        if not 0 < self.unit < self.p**self.precision:
+        if not 0 <= self.unit < self.p**self.precision:
             raise ValueError("unit residue out of range for the precision")
-        if self.unit % self.p == 0:
+        if self.unit and self.unit % self.p == 0:
             raise ValueError("unit part must have a nonzero first digit")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.unit == 0
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, p: int, precision: int = 1) -> "PAdic":
-        return cls(p, 0, 0, precision, True)
+        return cls(p, 0, 0, precision)
 
     @classmethod
     def one(cls, p: int, precision: int) -> "PAdic":
@@ -190,21 +190,19 @@ class PAdic:
         """Canonicalize a digit vector whose entries may fall outside
         [0, p-1]: carries are propagated, leading zero digits move into
         gamma.  Normalizing a canonical vector returns it unchanged, so the
-        map is idempotent.
+        map is idempotent.  A vector whose known digits all cancel is the
+        zero known modulo p**(gamma + len(digits)).
         """
         digits = [int(d) for d in digits]
         if not digits:
             raise ValueError("empty digit vector")
         _require_prime(p)
-        value = _from_digits(digits, p, {})
+        k = len(digits)
+        value = _from_digits(digits, p, {}) % p**k
         if value == 0:
-            return cls.zero(p, len(digits))
+            return cls(p, gamma, 0, k)
         v = int_valuation(value, p)
-        if v >= len(digits):
-            # all known digits cancelled; nothing survives the truncation
-            return cls.zero(p, len(digits))
-        kept = len(digits) - v
-        return cls(p, gamma + v, (value // p**v) % p**kept, kept)
+        return cls(p, gamma + v, value // p**v, k - v)
 
     # ------------------------------------------------------------------
     # views
@@ -246,10 +244,13 @@ class PAdic:
     # arithmetic
 
     def _coerce(self, other) -> "PAdic":
-        """other as a PAdic over self's prime: an int is expanded to self's
-        precision, and a PAdic over another prime is refused."""
+        """other as a PAdic over self's prime: an exact int is expanded to
+        self's precision and down to p**(gamma + precision), and a PAdic
+        over another prime is refused."""
         if isinstance(other, int):
-            return PAdic.from_int(other, self.p, self.precision)
+            v = int_valuation(other, self.p) if other else 0
+            n = self.precision + max(0, self.gamma - v)
+            return PAdic.from_int(other, self.p, n)
         if not isinstance(other, PAdic):
             raise TypeError(f"cannot combine PAdic with {type(other).__name__}")
         if other.p != self.p:
@@ -265,8 +266,6 @@ class PAdic:
         """Product; unit precision is the minimum of the operands'."""
         other = self._coerce(other)
         n = min(self.precision, other.precision)
-        if self.is_zero or other.is_zero:
-            return PAdic.zero(self.p, n)
         mod = self.p**n
         return PAdic(
             self.p, self.gamma + other.gamma, self.unit * other.unit % mod, n
@@ -275,28 +274,21 @@ class PAdic:
     def add(self, other) -> "PAdic":
         """Sum.  Both operands are known modulo some p**K; the result keeps
         every digit below the smaller K.  If everything below K cancels the
-        result is indistinguishable from zero at that precision and the zero
-        value is returned.
+        result is the zero known modulo that p**K.
         """
         other = self._coerce(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
         g = min(self.gamma, other.gamma)
         cap = min(self.gamma + self.precision, other.gamma + other.precision)
         rel = cap - g
         s = (self._scaled(g) + other._scaled(g)) % self.p**rel
         if s == 0:
-            return PAdic.zero(self.p, rel)
+            return PAdic(self.p, g, 0, rel)
         v = int_valuation(s, self.p)
         return PAdic(self.p, g + v, s // self.p**v, rel - v)
 
     def neg(self) -> "PAdic":
-        if self.is_zero:
-            return self
         mod = self.p**self.precision
-        return PAdic(self.p, self.gamma, mod - self.unit, self.precision)
+        return PAdic(self.p, self.gamma, -self.unit % mod, self.precision)
 
     def sub(self, other) -> "PAdic":
         return self.add(self._coerce(other).neg())
@@ -321,8 +313,6 @@ class PAdic:
         """
         if not isinstance(q, int) or q < 1:
             raise ValueError("exponent must be a natural number >= 1")
-        if self.is_zero:
-            return self
         gain = int_valuation(q, self.p)
         n = self.precision + gain
         mod = self.p**n
@@ -330,8 +320,6 @@ class PAdic:
 
     def shift(self, k: int) -> "PAdic":
         """Multiply by p**k (shift the valuation)."""
-        if self.is_zero:
-            return self
         return PAdic(self.p, self.gamma + k, self.unit, self.precision)
 
     # ------------------------------------------------------------------
@@ -342,11 +330,6 @@ class PAdic:
         valuation at least k.  Raises PrecisionError when the operands are
         not known that far."""
         other = self._coerce(other)
-        if self.is_zero and other.is_zero:
-            return True
-        if self.is_zero or other.is_zero:
-            nz = other if self.is_zero else self
-            return nz.gamma >= k
         g = min(self.gamma, other.gamma)
         if k <= g:
             return True
@@ -371,10 +354,10 @@ class PAdic:
 
     def __repr__(self) -> str:
         if self.is_zero:
-            return f"PAdic.zero({self.p}, {self.precision})"
-        return (
-            f"PAdic(p={self.p}, gamma={self.gamma}, digits={list(self.digits)})"
-        )
+            known = f"unit=0, precision={self.precision}"
+        else:
+            known = f"digits={list(self.digits)}"
+        return f"PAdic(p={self.p}, gamma={self.gamma}, {known})"
 
     __mul__ = mul
     __rmul__ = mul

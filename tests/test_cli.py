@@ -528,6 +528,14 @@ def test_expand_with_no_terms_says_none(capsys):
         ("expand --p 3 --q 2 --digits 1 --k 0", "q and k must be at least 1"),
         ("expand --p 3 --q 2 --digits 1,,2 --k 1", "malformed digit list '1,,2'"),
         ("expand --p 3 --q 2 --digits 1,3 --k 1", "digit 3 out of range for p=3"),
+        (
+            "expand --p 1000003 --q 20000000 --digits 5,0 --k 1",
+            "integers up to 5^20000000 (13979401 digits) exceed the 4300-digit limit",
+        ),
+        (
+            "expand --p 1000003 --q 2000 --digits 1000002,1 --k 1",
+            "integers up to 1000003^2000 (12001 digits) exceed the 4300-digit limit",
+        ),
         ("table --p-max 2", "--p-max must be at least 3"),
         ("congr linear --a 2 --n 5", "linear congruence needs --b"),
         ("congr pow-residue --a 2 --n 3", "power residue congruence needs --m"),
@@ -537,7 +545,7 @@ def test_expand_with_no_terms_says_none(capsys):
     ],
     ids=[
         "expand-p4", "expand-q0", "expand-k0", "expand-empty-digit",
-        "expand-digit3-p3", "table-pmax2", "linear-no-b", "pow-residue-no-m",
+        "expand-digit3-p3", "expand-huge-q", "expand-huge-digits", "table-pmax2", "linear-no-b", "pow-residue-no-m",
         "linear-n0", "pow-residue-n0", "pow-residue-m1",
     ],
 )

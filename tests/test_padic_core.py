@@ -7,6 +7,7 @@ run as hypothesis properties over random values.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -521,3 +522,123 @@ def test_inverse_round_trip(p, data):
     x = data.draw(padics(p))
     prod = x.mul(x.inv())
     assert prod.eq_mod(PAdic.one(p, prod.precision), prod.precision)
+
+
+# ---------------------------------------------------------------------------
+# precision soundness: a result claims only what its operands determine
+
+
+def frac_valuation(x: Fraction, p: int) -> float:
+    """v_p(x) for a Fraction, infinite at 0."""
+    if x == 0:
+        return math.inf
+    return bf.int_valuation(x.numerator, p) - bf.int_valuation(x.denominator, p)
+
+
+def representative(x: PAdic, w: int) -> Fraction:
+    """unit * p^gamma + w * p^(gamma + precision), from the fields alone:
+    every such number is a value x may stand for."""
+    p = Fraction(x.p)
+    return x.unit * p**x.gamma + w * p ** (x.gamma + x.precision)
+
+
+def stands_for(r: PAdic, value: Fraction) -> bool:
+    """Whether value agrees with r to r's own claimed bound."""
+    centre = Fraction(r.unit) * Fraction(r.p) ** r.gamma
+    return frac_valuation(value - centre, r.p) >= r.gamma + r.precision
+
+
+@st.composite
+def operands(draw, p: int) -> PAdic:
+    """A random value, a zero, an exact cancellation x + (-x), or a near
+    cancellation: x plus a value that agrees with -x in j digits."""
+    n = draw(st.integers(1, 6))
+    g = draw(st.integers(-4, 4))
+    u = draw(st.integers(1, p**n - 1).filter(lambda u: u % p))
+    x = PAdic(p, g, u, n)
+    kind = draw(st.sampled_from(["unit", "zero", "cancel", "near"]))
+    if kind == "unit":
+        return x
+    if kind == "zero":
+        return PAdic.zero(p, n)
+    if kind == "cancel":
+        return x + (-x)
+    j = draw(st.integers(1, 6))
+    t = draw(st.integers(0, p**4))
+    return x + PAdic.from_unit(p, g, -u + p**j * t, draw(st.integers(1, 8)))
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+@settings(max_examples=400, deadline=None)
+def test_results_claim_only_what_their_operands_determine(p, data):
+    x = data.draw(operands(p), "x")
+    y = data.draw(operands(p), "y")
+    n = data.draw(st.sampled_from([0, 1, -1, p, -(p**2), 2 * p**3]) | st.integers(-50, 50), "n")
+    q = data.draw(st.integers(1, 6), "q")
+    k = data.draw(st.integers(-3, 3), "k")
+    big = p**4
+    ws = [(0, 0)] + [
+        (data.draw(st.integers(-big, big)), data.draw(st.integers(-big, big)))
+        for _ in range(3)
+    ]
+    reps = [(representative(x, wx), representative(y, wy)) for wx, wy in ws]
+    P = Fraction(p)
+    results = [
+        (x + y, lambda X, Y: X + Y),
+        (x - y, lambda X, Y: X - Y),
+        (x * y, lambda X, Y: X * Y),
+        (-x, lambda X, Y: -X),
+        (x.pow_nat(q), lambda X, Y: X**q),
+        (x.shift(k), lambda X, Y: X * P**k),
+        (x + n, lambda X, Y: X + n),
+        (x - n, lambda X, Y: X - n),
+        (n - x, lambda X, Y: n - X),
+        (x * n, lambda X, Y: X * n),
+    ]
+    if y.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x.div(y)
+    else:
+        results.append((x.div(y), lambda X, Y: X / Y))
+    if n:
+        results.append((x.div(n), lambda X, Y: X / n))
+    for r, exact in results:
+        for X, Y in reps:
+            assert stands_for(r, exact(X, Y)), (r, x, y, n, q, k)
+    # an int is exact: it narrows neither a sum nor a product
+    assert (x + n).gamma + (x + n).precision == x.gamma + x.precision
+    assert (x * n).precision == x.precision
+    for kk in range(-6, 13):
+        for other, exact in ((y, lambda X, Y: Y), (n, lambda X, Y: Fraction(n))):
+            try:
+                answer = x.eq_mod(other, kk)
+            except PrecisionError:
+                continue
+            for X, Y in reps:
+                assert answer == (frac_valuation(X - exact(X, Y), p) >= kk), (x, other, kk)
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        (
+            lambda: (PAdic.from_int(1, 5, 3) + PAdic.from_int(-1, 5, 3)).eq_mod(
+                PAdic.from_int(5**10, 5, 4), 10
+            ),
+            None,
+        ),
+        (lambda: PAdic.from_unit(5, -2, 1, 3) + PAdic.from_unit(5, -2, -1, 3), 1),
+        (lambda: PAdic.zero(5, 2) + PAdic.from_int(1, 5, 8), 2),
+        (lambda: PAdic.from_unit(5, -3, 1, 1) * PAdic.zero(5, 1), -2),
+    ],
+    ids=["eq-mod-cancelled-sum", "cancel-at-negative-gamma", "zero-plus-long", "tiny-times-zero"],
+)
+def test_zero_operands_and_results_claim_what_is_known(make, bound):
+    # each value is known modulo 5^bound and no further; None: the
+    # comparison asks past what is known and must raise
+    if bound is None:
+        with pytest.raises(PrecisionError):
+            make()
+    else:
+        r = make()
+        assert r.gamma + r.precision == bound

@@ -17,7 +17,11 @@ bytes.  The requests are:
 * a congr grid in both forms: linear with a in {0, 3, -4}, b in
   {0, 2, -5} and n in {-6, 1, 12, 35}, and pow-residue with n in
   {1, 2, 3, 6}, a in {1, 2, 7} and m in {7, 12, 27, 50}, which reaches
-  a = 0 (mod n), a negative modulus and moduli whose units are not cyclic.
+  a = 0 (mod n), a negative modulus and moduli whose units are not cyclic;
+* an expand grid in both forms: p in {3, 13, 1000003}, q in
+  {1, 2, 7, 2000}, k in {1, 2, 25} and digits 1, 2,1,1 and p-1,1, which
+  reaches the size refusal (1000003^2000 has 12,001 digits) without
+  requests that run for seconds.
 
 --src picks the directory padicroots is imported from (default: this
 checkout's src), so one checkout's requests can run against another's
@@ -69,6 +73,11 @@ def requests() -> list[list[str]]:
         out += both_forms(["congr", "linear", f"--a={a}", f"--b={b}", f"--n={n}"])
     for n, a, m in product((1, 2, 3, 6), (1, 2, 7), (7, 12, 27, 50)):
         out += both_forms(["congr", "pow-residue", f"--a={a}", f"--n={n}", f"--m={m}"])
+    for p, q, k in product((3, 13, 1000003), (1, 2, 7, 2000), (1, 2, 25)):
+        for digits in ("1", "2,1,1", f"{p - 1},1"):
+            out += both_forms(
+                ["expand", "--p", str(p), "--q", str(q), "--digits", digits, "--k", str(k)]
+            )
     return out
 
 
