@@ -18,12 +18,11 @@ from json.encoder import encode_basestring_ascii as _quote
 from .congruence import (
     euler_phi,
     int_valuation,
-    is_prime,
     power_residue_solve,
     solve_linear,
 )
 from .multinomial import nk_terms
-from .padic_core import PAdic, parse_value
+from .padic_core import PAdic, _require_prime, parse_value
 from .representation import (
     _epsilon_runs,
     classify,
@@ -35,9 +34,10 @@ PRECISION_CAP = 10_000
 # root prints d * precision digits for its d = root_count(p, q) roots; a
 # request for more than this many is refused before any work
 ROOT_DIGIT_BUDGET = 10**5
-# congr lists every solution; a congruence that may have more than this
-# many is refused before any work
-CONGR_SOLUTION_CAP = 10**6
+# the most integers one request lists: congr refuses a congruence that may
+# have more solutions before any work, structured table more epsilon entries
+# once its rows are known
+LIST_CAP = 10**6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("classify", help="decompose val as eps * p^j * y^q"))
 
     table = sub.add_parser(
-        "table", help="second digits j with no unit solving d0^p = d0 + j*p mod p^2"
+        "table",
+        help="second digits j with no unit solving d0^p = d0 + j*p mod p^2",
+        description="List, for each odd prime p <= p-max, the second digits j "
+        "with no unit solving d0^p = d0 + j*p mod p^2. Structured output also "
+        "lists each row's epsilon classes, 1 + |row|*(p-1) integers; a table "
+        f"of more than {LIST_CAP} exits 2.",
     )
     table.add_argument("--p-max", type=int, default=41, dest="p_max")
 
@@ -86,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         "congr",
         help="congruence solvers",
         description="Solve a*x = b (mod n) or x^n = a (mod m) and list every "
-        f"solution. A congruence that may have more than {CONGR_SOLUTION_CAP} "
+        f"solution. A congruence that may have more than {LIST_CAP} "
         "solutions exits 2: linear when gcd(a, n) divides b and exceeds the "
         "bound, pow-residue when gcd(n, phi(m)) does.",
     )
@@ -163,8 +168,7 @@ def _parse_equation(args) -> PAdic:
     reads v_p(q) digits beyond those of the roots."""
     if args.q < 2:
         raise ValueError("exponent q must be at least 2")
-    if not is_prime(args.p):
-        raise ValueError(f"p must be prime, got {args.p}")
+    _require_prime(args.p)
     if not 1 <= args.precision <= PRECISION_CAP:
         raise ValueError(f"precision must be in [1, {PRECISION_CAP}]")
     if args.command == "root":
@@ -290,6 +294,11 @@ def cmd_table(args) -> str:
         return "\n".join(
             f"p={p}: " + ", ".join(map(str, js)) for p, js in table.items()
         )
+    entries = sum(1 + len(js) * (p - 1) for p, js in table.items())
+    if entries > LIST_CAP:
+        raise ValueError(
+            f"{entries} epsilon entries, more than the {LIST_CAP} table lists"
+        )
     rows = [
         {
             "p": p,
@@ -307,11 +316,8 @@ def cmd_congr(args) -> str:
             raise ValueError("linear congruence needs --b")
         if args.n != 0:  # solve_linear names a zero modulus
             g = math.gcd(args.a % args.n, args.n)
-            if g > CONGR_SOLUTION_CAP and args.b % g == 0:
-                raise ValueError(
-                    f"{g} solutions, more than the {CONGR_SOLUTION_CAP} "
-                    "congr lists"
-                )
+            if g > LIST_CAP and args.b % g == 0:
+                raise ValueError(f"{g} solutions, more than the {LIST_CAP} congr lists")
         sol = solve_linear(args.a, args.b, args.n)
         desc = f"{args.a}*x = {args.b} (mod {args.n})"
         payload = {
@@ -325,12 +331,11 @@ def cmd_congr(args) -> str:
         if args.m is None:
             raise ValueError("power residue congruence needs --m")
         # gcd(n, phi(m)) bounds the count; it can pass the cap only when n does
-        if args.n > CONGR_SOLUTION_CAP and args.m >= 2:
+        if args.n > LIST_CAP and args.m >= 2:
             d = math.gcd(args.n, euler_phi(args.m))
-            if d > CONGR_SOLUTION_CAP:
+            if d > LIST_CAP:
                 raise ValueError(
-                    f"up to {d} solutions, more than the {CONGR_SOLUTION_CAP} "
-                    "congr lists"
+                    f"up to {d} solutions, more than the {LIST_CAP} congr lists"
                 )
         sol = power_residue_solve(args.n, args.a, args.m)
         desc = f"x^{args.n} = {args.a} (mod {args.m})"
@@ -359,8 +364,7 @@ def cmd_congr(args) -> str:
 
 
 def cmd_expand(args) -> str:
-    if not is_prime(args.p):
-        raise ValueError(f"p must be prime, got {args.p}")
+    _require_prime(args.p)
     if args.q < 1 or args.k < 1:
         raise ValueError("q and k must be at least 1")
     try:

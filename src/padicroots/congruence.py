@@ -129,19 +129,15 @@ class _GroupCache:
 
 
 _UNIT_GROUPS = _GroupCache()
-
-
-def _unit_group(m: int) -> _UnitGroup | None:
-    """The unit group record mod m, or None when the units are not cyclic.
-
-    They are cyclic exactly for m = 2, 4, p^k and 2p^k with p an odd prime.
-    """
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    return _UNIT_GROUPS.get(m)
+# the unit group record mod m, or None when the units are not cyclic
+_unit_group = _UNIT_GROUPS.get
 
 
 def _build_unit_group(m: int) -> _UnitGroup | None:
+    """The record for m >= 2; the units are cyclic exactly for m = 2, 4, p^k
+    and 2p^k with p an odd prime."""
+    if m < 2:
+        raise ValueError("modulus must be at least 2")
     fac = factorize(m)
     odd = [p for p in fac if p != 2]
     if m not in (2, 4) and (len(odd) != 1 or fac.get(2, 0) > 1):
@@ -239,9 +235,10 @@ def solve_linear(a: int, b: int, n: int) -> CongruenceSolution:
     return CongruenceSolution(tuple(x0 + t * n1 for t in range(g)), n)
 
 
-def _residue_group(n: int, a: int, m: int) -> tuple[_UnitGroup, int]:
-    """The unit group record mod m and a reduced mod m, for x^n = a
-    (mod m): n must be at least 1, the group cyclic and a a unit."""
+def _root_exponent(n: int, a: int, m: int) -> tuple[_UnitGroup, int | None]:
+    """The unit group record mod m and the least s >= 0 with n*s = log_g(a)
+    (mod phi), so that g^s solves x^n = a (mod m), or s = None when no s
+    does.  n must be at least 1, the group cyclic and a a unit."""
     if n < 1:
         raise ValueError("exponent must be at least 1")
     group = _unit_group(m)
@@ -250,27 +247,19 @@ def _residue_group(n: int, a: int, m: int) -> tuple[_UnitGroup, int]:
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit mod {m}")
-    return group, a
-
-
-def _root_exponent(group: _UnitGroup, n: int, a: int) -> int | None:
-    """The least s >= 0 with n*s = log_g(a) (mod phi), so that g^s is an
-    n-th root of a, or None when gcd(n, phi) does not divide log_g(a) and
-    a has no n-th root."""
     t = group.log(a)
     d = math.gcd(n, group.phi)
     if t % d != 0:
-        return None
+        return group, None
     step = group.phi // d
-    return t // d * pow(n // d, -1, step) % step
+    return group, t // d * pow(n // d, -1, step) % step
 
 
 def power_residue_root(n: int, a: int, m: int) -> int | None:
     """One solution of x^n = a (mod m) for m with a cyclic unit group, or
     None when there is none: g^s for the generator g and the least s of
     _root_exponent.  One discrete log and one modular power."""
-    group, a = _residue_group(n, a, m)
-    s = _root_exponent(group, n, a)
+    group, s = _root_exponent(n, a, m)
     return None if s is None else pow(group.g, s, m)
 
 
@@ -282,8 +271,7 @@ def power_residue_solve(n: int, a: int, m: int) -> CongruenceSolution:
     divides t, and then its solutions are g^s for the least such s times
     the d powers of g^(phi(m)/d).
     """
-    group, a = _residue_group(n, a, m)
-    s = _root_exponent(group, n, a)
+    group, s = _root_exponent(n, a, m)
     if s is None:
         return CongruenceSolution((), m)
     d = math.gcd(n, group.phi)

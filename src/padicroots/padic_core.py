@@ -13,6 +13,7 @@ for zeros and nonzeros alike, and a sum whose known digits all cancel is
 such a zero.  An int operand is exact and never narrows a result.
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -106,10 +107,9 @@ def _digit_text(x: int, p: int, k: int) -> str:
 
 
 # A literal of single-character digits is read by int() in chunks of this
-# many digits: sys.int_info.str_digits_check_threshold, the least limit
-# PYTHONINTMAXSTRDIGITS or sys.set_int_max_str_digits can set, so the read
-# holds under any setting.
-_CHUNK = 640
+# many digits: the least limit PYTHONINTMAXSTRDIGITS or
+# sys.set_int_max_str_digits can set, so the read holds under any setting.
+_CHUNK = sys.int_info.str_digits_check_threshold
 
 
 def _read_numeral(s: str, p: int) -> int:
@@ -382,7 +382,7 @@ def parse_value(text: str, p: int, precision: int) -> PAdic:
     For p <= 10, a digit list of single ASCII digits below p, each
     separated by one comma, is one base-p numeral written backwards: its
     shape is tested with slices and str.strip, and int(s, p) reads the
-    reversed digits in chunks of 640 (_CHUNK), within any int() digit
+    reversed digits in chunks of _CHUNK, within any int() digit
     limit.  Every other digit list (spaces, signs, underscores, non-ASCII
     digits, empty entries, p > 10) is read entry by entry, and that loop
     raises every error a digit list can raise.

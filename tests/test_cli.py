@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+import padicroots.cli
 import padicroots.representation
 import padicroots.roots
-from padicroots.cli import CONGR_SOLUTION_CAP, ROOT_DIGIT_BUDGET, _json, main
+from padicroots.cli import LIST_CAP, ROOT_DIGIT_BUDGET, _json, main
 from padicroots.roots import Verdict
 
 
@@ -404,7 +405,7 @@ def test_congr_unsolvable(capsys):
     "argv",
     [
         "linear --a 0 --b 0 --n 100000000000",
-        f"linear --a 0 --b 0 --n {CONGR_SOLUTION_CAP + 1}",
+        f"linear --a 0 --b 0 --n {LIST_CAP + 1}",
         "pow-residue --a 1 --n 1000002 --m 1000003",
         "pow-residue --a 1 --n 2000004 --m 1000003",
     ],
@@ -415,7 +416,7 @@ def test_congr_refuses_too_many_solutions(capsys, argv):
     code = main(["congr", *argv.split()])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert f"more than the {CONGR_SOLUTION_CAP} congr lists" in captured.err
+    assert f"more than the {LIST_CAP} congr lists" in captured.err
 
 
 def test_congr_at_the_solution_cap_answers(capsys):
@@ -425,9 +426,9 @@ def test_congr_at_the_solution_cap_answers(capsys):
     assert code == 0 and "solvable: no" in out
     code, out = run_cli(
         capsys, "congr", "linear", "--a", "0", "--b", "0",
-        "--n", str(CONGR_SOLUTION_CAP),
+        "--n", str(LIST_CAP),
     )
-    assert code == 0 and f"count: {CONGR_SOLUTION_CAP}" in out
+    assert code == 0 and f"count: {LIST_CAP}" in out
 
 
 def test_root_refuses_more_digits_than_the_budget(capsys):
@@ -485,6 +486,30 @@ def test_table_structured_builds_each_row_once(capsys, monkeypatch):
     assert calls == bf.primes_upto(41)[1:]
 
 
+def test_table_structured_at_the_list_cap_answers(capsys, monkeypatch):
+    # the rows up to 41 hold 1 + |row|*(p-1) = 2450 epsilon entries in all;
+    # plain output lists none of them, so the cap never bounds it
+    argv = ["table", "--p-max", "41", "--format", "structured"]
+    monkeypatch.setattr(padicroots.cli, "LIST_CAP", 2450)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert sum(len(row["epsilon_derived"]) for row in rows) == 2450
+    monkeypatch.setattr(padicroots.cli, "LIST_CAP", 2449)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 2450 epsilon entries, more than the 2449 table lists\n"
+    )
+    code, out = run_cli(capsys, "table", "--p-max", "41")
+    assert code == 0 and out.startswith("p=3: ")
+    with pytest.raises(SystemExit):
+        main(["table", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "a table of more than 1000000 exits 2" in help_text
+
+
 def test_expand_n2_terms(capsys):
     code, out = run_cli(
         capsys, "expand", "--p", "3", "--q", "3", "--digits", "1,1", "--k", "2"
@@ -537,6 +562,10 @@ def test_expand_with_no_terms_says_none(capsys):
             "integers up to 1000003^2000 (12001 digits) exceed the 4300-digit limit",
         ),
         ("table --p-max 2", "--p-max must be at least 3"),
+        (
+            "table --p-max 359 --format structured",
+            "1000487 epsilon entries, more than the 1000000 table lists",
+        ),
         ("congr linear --a 2 --n 5", "linear congruence needs --b"),
         ("congr pow-residue --a 2 --n 3", "power residue congruence needs --m"),
         ("congr linear --a 1 --b 1 --n 0", "modulus must be nonzero"),
@@ -545,7 +574,8 @@ def test_expand_with_no_terms_says_none(capsys):
     ],
     ids=[
         "expand-p4", "expand-q0", "expand-k0", "expand-empty-digit",
-        "expand-digit3-p3", "expand-huge-q", "expand-huge-digits", "table-pmax2", "linear-no-b", "pow-residue-no-m",
+        "expand-digit3-p3", "expand-huge-q", "expand-huge-digits", "table-pmax2",
+        "table-structured-over-cap", "linear-no-b", "pow-residue-no-m",
         "linear-n0", "pow-residue-n0", "pow-residue-m1",
     ],
 )

@@ -21,7 +21,9 @@ bytes.  The requests are:
 * an expand grid in both forms: p in {3, 13, 1000003}, q in
   {1, 2, 7, 2000}, k in {1, 2, 25} and digits 1, 2,1,1 and p-1,1, which
   reaches the size refusal (1000003^2000 has 12,001 digits) without
-  requests that run for seconds.
+  requests that run for seconds;
+* `table --p-max 359 --format structured`, the least table over the
+  1,000,000-integer list bound (1,000,487 epsilon entries).
 
 --src picks the directory padicroots is imported from (default: this
 checkout's src), so one checkout's requests can run against another's
@@ -78,6 +80,7 @@ def requests() -> list[list[str]]:
             out += both_forms(
                 ["expand", "--p", str(p), "--q", str(q), "--digits", digits, "--k", str(k)]
             )
+    out.append(["table", "--p-max", "359", "--format", "structured"])
     return out
 
 
