@@ -21,7 +21,7 @@ from .congruence import (
     power_residue_solve,
     solve_linear,
 )
-from .multinomial import nk_terms
+from .multinomial import nk_term_count, nk_walk
 from .padic_core import PAdic, _require_prime, parse_value
 from .representation import (
     _epsilon_runs,
@@ -35,8 +35,8 @@ PRECISION_CAP = 10_000
 # request for more than this many is refused before any work
 ROOT_DIGIT_BUDGET = 10**5
 # the most integers one request lists: congr refuses a congruence that may
-# have more solutions before any work, structured table more epsilon entries
-# once its rows are known
+# have more solutions and expand terms with more exponents before any work,
+# structured table more epsilon entries once its rows are known
 LIST_CAP = 10**6
 
 
@@ -104,7 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     congr.add_argument("--m", type=int, help="pow-residue: modulus")
 
     expand = sub.add_parser(
-        "expand", help="terms making up the p^k coefficient of a digit power"
+        "expand",
+        help="terms making up the p^k coefficient of a digit power",
+        description="List the terms of N_k, the p^k coefficient of "
+        "(d0 + d1*p + ...)^q less q*d0^(q-1)*d_k, each with its k exponents. "
+        f"A request whose terms list more than {LIST_CAP} exponents exits 2 "
+        "before any term is built.",
     )
     expand.add_argument("--p", type=int, required=True)
     expand.add_argument("--q", type=int, required=True)
@@ -126,11 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+class _Runs(tuple):
+    """A list of ints held as runs: a tuple of ranges of step 1, whose
+    concatenation is the list."""
+
+
 def _json(x, indent: str = "\n") -> str:
     """x as JSON, byte for byte as json.dumps(x, indent=2) writes it, for
-    the types the commands emit: dict with str keys, list, str, int, bool
-    and None.  Strings go through the stdlib's C escaper, and a list of
-    plain ints (no bools) is written in one join."""
+    the types the commands emit: dict with str keys, list, _Runs, str, int,
+    bool and None.  Strings go through the stdlib's C escaper, and a list of
+    plain ints (no bools), or each run of a _Runs, is written by one
+    format."""
     t = type(x)
     if t is str:
         return _quote(x)
@@ -141,19 +152,23 @@ def _json(x, indent: str = "\n") -> str:
     if t is bool:
         return "true" if x else "false"
     inner = indent + "  "
+    sep = "," + inner
     if t is list:
         if not x:
             return "[]"
         if set(map(type, x)) == {int}:
-            body = map(int.__repr__, x)
+            body = sep.join(["%d"] * len(x)) % tuple(x)
         else:
-            body = [_json(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(body) + indent + "]"
+            body = sep.join([_json(v, inner) for v in x])
+        return f"[{inner}{body}{indent}]"
+    if t is _Runs:
+        body = sep.join([sep.join(["%d"] * len(r)) % tuple(r) for r in x if r])
+        return f"[{inner}{body}{indent}]" if body else "[]"
     if t is dict:
         if not x:
             return "{}"
-        body = [_quote(k) + ": " + _json(v, inner) for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(body) + indent + "}"
+        body = sep.join([_quote(k) + ": " + _json(v, inner) for k, v in x.items()])
+        return f"{{{inner}{body}{indent}}}"
     raise TypeError(f"cannot write {t.__name__} as JSON")
 
 
@@ -303,7 +318,7 @@ def cmd_table(args) -> str:
         {
             "p": p,
             "j_no_solution": list(js),
-            "epsilon_derived": list(_epsilon_runs(p, js)),
+            "epsilon_derived": _Runs(_epsilon_runs(p, js)),
         }
         for p, js in table.items()
     ]
@@ -385,11 +400,20 @@ def cmd_expand(args) -> str:
             f"integers up to {base}^{args.q} ({size} digits) exceed the "
             f"{limit}-digit limit"
         )
-    padded = digits + [0] * max(0, args.k - len(digits) + 1)
-    terms = nk_terms(args.q, args.k)
-    values = [t.evaluate(padded) for t in terms]
-    nk = sum(values)
-    lead = args.q * padded[0] ** (args.q - 1) * padded[args.k]
+    # every term lists k exponents: count the terms before building any
+    count = nk_term_count(args.q, args.k, LIST_CAP // args.k)
+    if count * args.k > LIST_CAP:
+        raise ValueError(
+            f"N_{args.k} has more than {LIST_CAP // args.k} terms of {args.k} "
+            f"exponents each, more than the {LIST_CAP} expand lists"
+        )
+    d_k = digits[args.k] if args.k < len(digits) else 0
+    lead = args.q * digits[0] ** (args.q - 1) * d_k
+    # with no terms (q = 1 or k = 1) any k is admitted: pad no digits to it
+    terms = []
+    if count:
+        terms = nk_walk(args.q, args.k, digits + [0] * (args.k - len(digits)))
+    nk = sum(value for _, _, value in terms)
     if args.format == "structured":
         payload = {
             "command": "expand",
@@ -398,12 +422,8 @@ def cmd_expand(args) -> str:
             "k": args.k,
             "digits": digits,
             "terms": [
-                {
-                    "exponents": list(t.exponents),
-                    "coefficient": t.coefficient,
-                    "value": val,
-                }
-                for t, val in zip(terms, values)
+                {"exponents": list(e), "coefficient": c, "value": value}
+                for e, c, value in terms
             ],
             "n_k": nk,
             "leading_term": lead,
@@ -416,12 +436,10 @@ def cmd_expand(args) -> str:
         f"leading term q*d0^(q-1)*d_k = {lead}",
         f"N_{args.k} terms (m_0,...,m_{args.k - 1}):",
     ]
-    lines += [
-        f"  ({','.join(map(str, t.exponents))})  "
-        f"coeff {t.coefficient}  value {val}"
-        for t, val in zip(terms, values)
-    ]
-    if not terms:
+    if terms:
+        row = ",".join(["%d"] * args.k)  # one format writes a term's exponents
+        lines += [f"  ({row % e})  coeff {c}  value {value}" for e, c, value in terms]
+    else:
         lines.append("  (none)")
     lines.append(f"N_{args.k} = {nk}")
     lines.append(f"coefficient of p^{args.k} = {lead + nk}")

@@ -51,30 +51,36 @@ class NkTerm:
         return self.coefficient * math.prod(map(pow, digits, self.exponents))
 
 
-def nk_terms(q: int, k: int) -> list[NkTerm]:
-    """All exponent tuples of N_k with their coefficients, in lexicographic
-    order of (m_{k-1}, ..., m_1).  Only digits d0..d_{k-1} appear."""
+def nk_walk(q: int, k: int, digits) -> list[tuple[tuple[int, ...], int, int]]:
+    """Every term of N_k as (exponents, coefficient, value), in
+    lexicographic order of (m_{k-1}, ..., m_1); the value is the term at
+    the digits d0..d_{k-1}, the first k of digits."""
     if q < 1:
         raise ValueError("exponent q must be at least 1")
     if k < 1:
         raise ValueError("digit position k must be at least 1")
-    out: list[NkTerm] = []
+    out: list[tuple[tuple[int, ...], int, int]] = []
     tail = [0] * k  # m_1..m_{k-1} chosen, m_0 derived
+    d0 = digits[0]
 
-    def rec(top: int, count_left: int, weight_left: int, coeff: int) -> None:
+    def rec(
+        top: int, count_left: int, weight_left: int, coeff: int, value: int
+    ) -> None:
         # Positions below top are all 0 here.  Pick the highest nonzero one
         # (lowest pos first, then smallest m), keeping only choices whose
         # rest fits: weight w fits in c parts below pos iff w <= c*(pos-1),
         # so pos itself needs w <= c*pos (c > 0 while weight is left).
         # coeff is q! / (count_left! * the chosen m!): one binomial per
-        # choice makes it the multinomial coefficient once m_0 is placed.
+        # choice makes it the multinomial coefficient once m_0 is placed;
+        # value is the product of the chosen digits[pos]**m.
         if weight_left == 0:
             tail[0] = count_left
-            out.append(NkTerm(tuple(tail), coeff))
+            out.append((tuple(tail), coeff, coeff * value * d0**count_left))
             return
         first = -(-weight_left // count_left)
         for pos in range(first, min(top, weight_left + 1)):
             low = max(1, weight_left - count_left * (pos - 1))
+            d = digits[pos]
             for m in range(low, min(count_left, weight_left // pos) + 1):
                 tail[pos] = m
                 rec(
@@ -82,11 +88,40 @@ def nk_terms(q: int, k: int) -> list[NkTerm]:
                     count_left - m,
                     weight_left - pos * m,
                     coeff * math.comb(count_left, m),
+                    value * d**m,
                 )
             tail[pos] = 0
 
-    rec(k, q, k, 1)
+    rec(k, q, k, 1, 1)
     return out
+
+
+def nk_terms(q: int, k: int) -> list[NkTerm]:
+    """All exponent tuples of N_k with their coefficients, in lexicographic
+    order of (m_{k-1}, ..., m_1).  Only digits d0..d_{k-1} appear."""
+    return [NkTerm(e, c) for e, c, _ in nk_walk(q, k, [1] * k)]
+
+
+def nk_term_count(q: int, k: int, cap: int) -> int:
+    """The number of N_k terms, or a number above cap once it passes cap.
+
+    The terms are the partitions of k into at most q parts, each below k;
+    by conjugation, the partitions of k into parts of size at most q, less
+    the one into k ones.  The dynamic program adds one part size at a time,
+    and the count only grows as sizes are added.  At q, k >= 2 the k // 2
+    splits k = a + b (1 <= a <= b) are terms, so a k that large needs no
+    table of k entries."""
+    if q < 2 or k < 2:
+        return 0
+    if k // 2 > cap:
+        return k // 2
+    ways = [1] + [0] * k  # ways[n]: partitions of n into the sizes so far
+    for size in range(1, min(q, k) + 1):
+        for n in range(size, k + 1):
+            ways[n] += ways[n - size]
+        if ways[k] - 1 > cap:
+            break
+    return ways[k] - 1
 
 
 def compute_Nk(q: int, digits, k: int) -> int:
@@ -94,7 +129,7 @@ def compute_Nk(q: int, digits, k: int) -> int:
     digits = list(digits)
     if len(digits) < k:
         raise ValueError(f"need at least {k} digits d0..d{k-1}")
-    return sum(t.evaluate(digits) for t in nk_terms(q, k))
+    return sum(value for _, _, value in nk_walk(q, k, digits))
 
 
 def nk_sequence(q: int, digits, k_max: int) -> list[int]:

@@ -23,7 +23,6 @@ d0 + j*p can never match d0^p mod p^2, i.e. the j that force a nontrivial
 epsilon no matter what the first digit is.
 """
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, compress
 
@@ -189,12 +188,13 @@ def derived_epsilon_set(p: int) -> tuple[int, ...]:
     digit."""
     _check_table_bound(p)
     js = _j_row(p) if p >= 3 and is_prime(p) else ()
-    return tuple(_epsilon_runs(p, js))
+    return tuple(chain.from_iterable(_epsilon_runs(p, js)))
 
 
-def _epsilon_runs(p: int, row) -> Iterator[int]:
-    """1, then i + j*p for i in [1, p-1] and each j of a table row.  The
-    classes of one j are the run j*p+1 .. j*p+p-1, and j = 0 is never in a
-    row (i = 1 solves it), so for a row in increasing order 1 and then the
-    runs in row order are already in increasing order."""
-    return chain((1,), *(range(j * p + 1, j * p + p) for j in row))
+def _epsilon_runs(p: int, row) -> tuple[range, ...]:
+    """1, then i + j*p for i in [1, p-1] and each j of a table row, as runs
+    of consecutive integers.  The classes of one j are the run j*p+1 ..
+    j*p+p-1, and j = 0 is never in a row (i = 1 solves it), so for a row in
+    increasing order 1 and then the runs in row order are already in
+    increasing order."""
+    return (range(1, 2), *(range(j * p + 1, j * p + p) for j in row))

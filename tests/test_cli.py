@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import resource
 import shlex
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,8 @@ import bruteforce as bf
 import padicroots.cli
 import padicroots.representation
 import padicroots.roots
-from padicroots.cli import LIST_CAP, ROOT_DIGIT_BUDGET, _json, main
+from padicroots.cli import LIST_CAP, ROOT_DIGIT_BUDGET, _json, _Runs, main
+from padicroots.representation import derived_epsilon_set, j_no_solution_table
 from padicroots.roots import Verdict
 
 
@@ -234,20 +237,42 @@ def test_structured_output_is_stdlib_json(capsys, argv):
 
 
 _json_leaves = st.none() | st.booleans() | st.integers(-(10**40), 10**40) | st.text()
+# runs of consecutive ints, empty ones among them
+_json_runs = st.lists(
+    st.builds(
+        lambda start, n: range(start, start + n),
+        st.integers(-(10**30), 10**30),
+        st.integers(0, 6),
+    ),
+    max_size=5,
+).map(_Runs)
 _json_values = st.recursive(
-    _json_leaves | st.lists(st.integers(-(10**30), 10**30) | st.booleans()),
+    _json_leaves
+    | st.lists(st.integers(-(10**30), 10**30) | st.booleans())
+    | _json_runs,
     lambda inner: st.lists(inner, max_size=5)
     | st.dictionaries(st.text(), inner, max_size=5),
     max_leaves=20,
 )
 
 
+def _built_out(x):
+    """x with every _Runs replaced by the list of its ints."""
+    if type(x) is _Runs:
+        return list(chain(*x))
+    if type(x) is list:
+        return [_built_out(v) for v in x]
+    if type(x) is dict:
+        return {k: _built_out(v) for k, v in x.items()}
+    return x
+
+
 @settings(max_examples=100, deadline=None)
 @given(_json_values)
 def test_json_writer_matches_stdlib(x):
     # non-ASCII and escaped strings, big negative ints, int lists with a
-    # bool among them, empty and nested containers
-    assert _json(x) == json.dumps(x, indent=2)
+    # bool among them, runs (empty ones too), empty and nested containers
+    assert _json(x) == json.dumps(_built_out(x), indent=2)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -469,7 +494,29 @@ def test_root_at_the_digit_budget_answers(capsys):
         assert code == 0 and f"roots ({q}):" in out
     with pytest.raises(SystemExit):
         main(["root", "--help"])
-    assert f"more than {ROOT_DIGIT_BUDGET} exits 2" in capsys.readouterr().out
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"more than {ROOT_DIGIT_BUDGET} exits 2" in help_text
+
+
+@pytest.mark.parametrize("p_max", [3, 5, 13, 41, 150, 358])
+def test_table_structured_is_stdlib_json_of_the_built_out_rows(capsys, p_max):
+    # the epsilon runs are written without a list of their ints; the text
+    # must be what json.dumps writes for the lists themselves (358 is the
+    # largest p_max under LIST_CAP)
+    code, out = run_cli(
+        capsys, "table", "--p-max", str(p_max), "--format", "structured"
+    )
+    assert code == 0
+    rows = [
+        {
+            "p": p,
+            "j_no_solution": list(js),
+            "epsilon_derived": list(derived_epsilon_set(p)),
+        }
+        for p, js in j_no_solution_table(p_max).items()
+    ]
+    payload = {"command": "table", "p_max": p_max, "rows": rows}
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_table_structured_builds_each_row_once(capsys, monkeypatch):
@@ -561,6 +608,16 @@ def test_expand_with_no_terms_says_none(capsys):
             "expand --p 1000003 --q 2000 --digits 1000002,1 --k 1",
             "integers up to 1000003^2000 (12001 digits) exceed the 4300-digit limit",
         ),
+        (
+            "expand --p 3 --q 10 --digits 1 --k 100",
+            "N_100 has more than 10000 terms of 100 exponents each, more than "
+            "the 1000000 expand lists",
+        ),
+        (
+            "expand --p 3 --q 3 --digits 1 --k 600",
+            "N_600 has more than 1666 terms of 600 exponents each, more than "
+            "the 1000000 expand lists",
+        ),
         ("table --p-max 2", "--p-max must be at least 3"),
         (
             "table --p-max 359 --format structured",
@@ -574,7 +631,8 @@ def test_expand_with_no_terms_says_none(capsys):
     ],
     ids=[
         "expand-p4", "expand-q0", "expand-k0", "expand-empty-digit",
-        "expand-digit3-p3", "expand-huge-q", "expand-huge-digits", "table-pmax2",
+        "expand-digit3-p3", "expand-huge-q", "expand-huge-digits",
+        "expand-terms-over-cap", "expand-exponents-over-cap", "table-pmax2",
         "table-structured-over-cap", "linear-no-b", "pow-residue-no-m",
         "linear-n0", "pow-residue-n0", "pow-residue-m1",
     ],
@@ -714,12 +772,44 @@ def test_error_unknown_subcommand_exits_2():
 # process-level checks through a real interpreter
 
 
-def run_process(*argv, timeout=120):
+def run_process(*argv, timeout=120, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "padicroots", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
+        **kwargs,
+    )
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_process_expand_over_the_list_cap_exits_quickly():
+    # 6,292,068 terms of 100 exponents once took gigabytes and died with
+    # MemoryError; the count is refused before any term is built.  The
+    # process gets 1 GiB of address space, so that a lost bound fails here
+    # instead of exhausting the machine's memory.
+    for q, k in (("10", "100"), ("3", "600")):
+        done = run_process(
+            "expand", "--p", "3", "--q", q, "--digits", "1", "--k", k,
+            timeout=5, preexec_fn=_cap_address_space,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert "more than the 1000000 expand lists" in done.stderr
+
+
+def test_process_expand_without_terms_answers_at_any_k():
+    # q = 1 has no terms at any k, so nothing of length k is built; the
+    # same 1 GiB cap holds the process
+    done = run_process(
+        "expand", "--p", "3", "--q", "1", "--digits", "1", "--k", "1000000000",
+        timeout=5, preexec_fn=_cap_address_space,
+    )
+    assert done.returncode == 0
+    assert done.stdout.endswith(
+        "  (none)\nN_1000000000 = 0\ncoefficient of p^1000000000 = 0\n"
     )
 
 

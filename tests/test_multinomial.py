@@ -25,6 +25,7 @@ from padicroots import (
     nk_terms,
     ntilde_pk,
 )
+from padicroots.multinomial import nk_term_count, nk_walk
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,40 @@ def test_nk_terms_are_every_tuple_in_reverse_lexicographic_order():
 def test_nk_terms_at_large_k():
     # q = 2: the pairs 900 = a + b with 1 <= a <= b
     assert len(nk_terms(2, 900)) == 450
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=30),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_walk_values_are_the_terms_evaluated(q, k, data):
+    # the values built along the walk, in the order nk_terms lists the
+    # terms, against evaluating each term afresh and the power route
+    digits = data.draw(
+        st.lists(st.integers(min_value=0, max_value=12), min_size=k, max_size=k)
+    )
+    walk = nk_walk(q, k, digits)
+    fresh = [(t.exponents, t.coefficient, t.evaluate(digits)) for t in nk_terms(q, k)]
+    assert walk == fresh
+    assert sum(value for _, _, value in walk) == nk_sequence(q, digits + [0], k)[k - 1]
+
+
+def test_term_count_is_the_number_of_terms():
+    for q in range(1, 9):
+        for k in range(1, 21):
+            n = len(nk_terms(q, k))
+            assert nk_term_count(q, k, 10**9) == n
+            assert nk_term_count(q, k, n) == n
+            # at a cap below the count it stops at some number above the cap
+            if n:
+                assert nk_term_count(q, k, n - 1) > n - 1
+    assert nk_term_count(10, 100, 10**7) == 6_292_068
+    assert nk_term_count(3, 600, 10**6) == 30_300
+    # a k past every cap is refused without a table of k entries
+    assert nk_term_count(2, 10**15, 10) > 10
+    assert nk_term_count(1, 10**15, 0) == 0
 
 
 def test_nk_is_zero_at_k1():

@@ -22,8 +22,14 @@ bytes.  The requests are:
   {1, 2, 7, 2000}, k in {1, 2, 25} and digits 1, 2,1,1 and p-1,1, which
   reaches the size refusal (1000003^2000 has 12,001 digits) without
   requests that run for seconds;
-* `table --p-max 359 --format structured`, the least table over the
-  1,000,000-integer list bound (1,000,487 epsilon entries).
+* expand at (q, k) in {(2, 1000), (3, 200), (7, 25)} in both forms, at
+  p = 13 with digits d_i = (7i + 3) mod 13 up to d_k; (3, 200) lists
+  686,600 exponents (3,433 terms of 200), under the 1,000,000-integer
+  list bound, and `expand --q 3 --k 600` (30,300 terms of 600
+  exponents) is over it;
+* structured `table` at --p-max 150 (the benchmark's) and 358, the largest
+  table under the list bound, and `table --p-max 359 --format
+  structured`, the least table over it (1,000,487 epsilon entries).
 
 --src picks the directory padicroots is imported from (default: this
 checkout's src), so one checkout's requests can run against another's
@@ -80,7 +86,14 @@ def requests() -> list[list[str]]:
             out += both_forms(
                 ["expand", "--p", str(p), "--q", str(q), "--digits", digits, "--k", str(k)]
             )
-    out.append(["table", "--p-max", "359", "--format", "structured"])
+    for q, k in ((2, 1000), (3, 200), (7, 25)):
+        digits = ",".join(str((7 * i + 3) % 13) for i in range(k + 1))
+        out += both_forms(
+            ["expand", "--p", "13", "--q", str(q), "--digits", digits, "--k", str(k)]
+        )
+    out.append(["expand", "--p", "3", "--q", "3", "--digits", "1", "--k", "600"])
+    for p_max in (150, 358, 359):
+        out.append(["table", "--p-max", str(p_max), "--format", "structured"])
     return out
 
 
