@@ -1,91 +1,69 @@
 """Solvability tests, Newton root lifting and canonical unit
-decompositions for x^q = a over the p-adic numbers."""
+decompositions for x^q = a over the p-adic numbers.
 
-from .congruence import (
-    CongruenceSolution,
-    IndexValue,
-    euler_phi,
-    find_primitive_root,
-    index,
-    int_valuation,
-    is_prime,
-    is_qth_residue,
-    power_residue_solve,
-    solve_linear,
-)
-from .multinomial import (
-    NkTerm,
-    binom_valuation_kummer,
-    compute_Nk,
-    multinomial_coeff,
-    nk_dichotomy,
-    nk_sequence,
-    nk_terms,
-    ntilde_pk,
-)
-from .padic_core import PAdic, PrecisionError, parse_value
-from .representation import (
-    Decomposition,
-    classify,
-    classify_coprime,
-    classify_p,
-    derived_epsilon_set,
-    epsilon_set,
-    find_nonresidue_unit,
-    j_no_solution_table,
-    verify_c1,
-)
-from .roots import (
-    LiftContradictionError,
-    RootSet,
-    Verdict,
-    check_qp,
-    decide,
-    lift_root,
-    lift_roots,
-    solve,
-)
+Importing the package loads no submodule: each name of __all__ loads the
+submodule that defines it on first use, so a process pays only for the
+modules it reaches.
+"""
+
+from importlib import import_module
+
+# every exported name and the submodule that defines it, in __all__ order
+_SOURCES = {
+    "PAdic": "padic_core",
+    "PrecisionError": "padic_core",
+    "parse_value": "padic_core",
+    "CongruenceSolution": "congruence",
+    "IndexValue": "congruence",
+    "euler_phi": "congruence",
+    "find_primitive_root": "congruence",
+    "index": "congruence",
+    "int_valuation": "congruence",
+    "is_prime": "congruence",
+    "is_qth_residue": "congruence",
+    "power_residue_solve": "congruence",
+    "solve_linear": "congruence",
+    "NkTerm": "multinomial",
+    "binom_valuation_kummer": "multinomial",
+    "compute_Nk": "multinomial",
+    "multinomial_coeff": "multinomial",
+    "nk_dichotomy": "multinomial",
+    "nk_sequence": "multinomial",
+    "nk_terms": "multinomial",
+    "ntilde_pk": "multinomial",
+    "Decomposition": "representation",
+    "classify": "representation",
+    "classify_coprime": "representation",
+    "classify_p": "representation",
+    "derived_epsilon_set": "representation",
+    "epsilon_set": "representation",
+    "find_nonresidue_unit": "representation",
+    "j_no_solution_table": "representation",
+    "verify_c1": "representation",
+    "LiftContradictionError": "roots",
+    "RootSet": "roots",
+    "Verdict": "roots",
+    "check_qp": "roots",
+    "decide": "roots",
+    "lift_root": "roots",
+    "lift_roots": "roots",
+    "solve": "roots",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PAdic",
-    "PrecisionError",
-    "parse_value",
-    "CongruenceSolution",
-    "IndexValue",
-    "euler_phi",
-    "find_primitive_root",
-    "index",
-    "int_valuation",
-    "is_prime",
-    "is_qth_residue",
-    "power_residue_solve",
-    "solve_linear",
-    "NkTerm",
-    "binom_valuation_kummer",
-    "compute_Nk",
-    "multinomial_coeff",
-    "nk_dichotomy",
-    "nk_sequence",
-    "nk_terms",
-    "ntilde_pk",
-    "Decomposition",
-    "classify",
-    "classify_coprime",
-    "classify_p",
-    "derived_epsilon_set",
-    "epsilon_set",
-    "find_nonresidue_unit",
-    "j_no_solution_table",
-    "verify_c1",
-    "LiftContradictionError",
-    "RootSet",
-    "Verdict",
-    "check_qp",
-    "decide",
-    "lift_root",
-    "lift_roots",
-    "solve",
-    "__version__",
-]
+__all__ = [*_SOURCES, "__version__"]
+
+
+def __getattr__(name: str):
+    """An exported name, read from its submodule and kept as a package
+    attribute, so that this runs once per name."""
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_SOURCES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

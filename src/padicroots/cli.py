@@ -4,6 +4,8 @@ Subcommands map onto the library one-to-one: check (verdict only), root
 (verdict plus digit expansion of every root), classify (epsilon/delta/y^q
 decomposition), table (no-solution second digits per prime), congr (linear
 and power-residue congruences) and expand (carry terms of a digit power).
+classify and table import the representation module, and expand the
+multinomial one, when they run: check and root never load them.
 
 Exit codes: 0 for any computed result, including unsolvable verdicts and
 empty congruence solution sets; 2 for unusable input; 3 when internal
@@ -13,7 +15,9 @@ cross-checks disagree, which indicates a bug rather than bad input.
 import argparse
 import math
 import sys
-from json.encoder import encode_basestring_ascii as _quote
+
+# the C string escaper json.encoder re-exports, without loading json
+from _json import encode_basestring_ascii as _quote
 
 from .congruence import (
     euler_phi,
@@ -21,13 +25,7 @@ from .congruence import (
     power_residue_solve,
     solve_linear,
 )
-from .multinomial import nk_term_count, nk_walk
 from .padic_core import PAdic, _require_prime, parse_value
-from .representation import (
-    _epsilon_runs,
-    classify,
-    j_no_solution_table,
-)
 from .roots import LiftContradictionError, decide, root_count, solve
 
 PRECISION_CAP = 10_000
@@ -221,8 +219,7 @@ def _verdict_report(args, a: PAdic, verdict) -> tuple[list[str], dict]:
         "input": args.val,
         "value": value,
         "precision": args.precision,
-        # the Verdict fields in order; asdict would deep-copy each one
-        "verdict": dict(vars(verdict)),
+        "verdict": verdict._asdict(),
     }
     return lines, payload
 
@@ -260,6 +257,8 @@ def cmd_root(args) -> str:
 
 
 def cmd_classify(args) -> str:
+    from .representation import classify
+
     a = _parse_equation(args)
     dec = classify(a, args.q)
     recomposed = dec.recompose()
@@ -302,6 +301,8 @@ def cmd_classify(args) -> str:
 
 
 def cmd_table(args) -> str:
+    from .representation import _epsilon_runs, j_no_solution_table
+
     if args.p_max < 3:
         raise ValueError("--p-max must be at least 3")
     table = j_no_solution_table(args.p_max)
@@ -379,6 +380,8 @@ def cmd_congr(args) -> str:
 
 
 def cmd_expand(args) -> str:
+    from .multinomial import nk_term_count, nk_walk
+
     _require_prime(args.p)
     if args.q < 1 or args.k < 1:
         raise ValueError("q and k must be at least 1")

@@ -14,9 +14,8 @@ call and not kept.
 """
 
 import math
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 # baby-step entries kept in all by `_unit_group` (a record without a table
@@ -81,26 +80,22 @@ def euler_phi(n: int) -> int:
     return _phi(factorize(n))
 
 
-@dataclass(frozen=True)
-class _UnitGroup:
+class _UnitGroup(namedtuple("_UnitGroup", "m phi g step baby giant")):
     """The cyclic unit group mod m: its order phi, its smallest generator g,
-    the baby steps {g^j: j} for j < step and the giant step g^-step."""
+    the baby steps {g^j: j} for j < step (a dict) and the giant step
+    g^-step."""
 
-    m: int
-    phi: int
-    g: int
-    step: int
-    baby: dict[int, int]
-    giant: int
+    __slots__ = ()
 
     def log(self, a: int) -> int:
         """The x in [0, phi) with g^x = a, for a unit a in [0, m)."""
+        m, phi, _, step, baby, giant = self  # locals: the loop reads them often
         cur = a
-        for i in range(self.step + 1):
-            j = self.baby.get(cur)
+        for i in range(step + 1):
+            j = baby.get(cur)
             if j is not None:
-                return (i * self.step + j) % self.phi
-            cur = cur * self.giant % self.m
+                return (i * step + j) % phi
+            cur = cur * giant % m
         raise ValueError("index search exhausted the group")
 
 
@@ -167,13 +162,10 @@ def find_primitive_root(m: int) -> int | None:
     return None if group is None else group.g
 
 
-@dataclass(frozen=True)
-class IndexValue:
+class IndexValue(namedtuple("IndexValue", "base_r value modulus_phi")):
     """Discrete logarithm of a to the base of a primitive root r mod m."""
 
-    base_r: int
-    value: int
-    modulus_phi: int
+    __slots__ = ()
 
 
 def index(r: int, a: int, m: int) -> IndexValue:
@@ -197,12 +189,11 @@ def index(r: int, a: int, m: int) -> IndexValue:
     return IndexValue(r, x, group.phi)
 
 
-@dataclass(frozen=True)
-class CongruenceSolution:
-    """Solution set of a congruence: representatives mod `modulus`."""
+class CongruenceSolution(namedtuple("CongruenceSolution", "representatives modulus")):
+    """Solution set of a congruence: representatives (a tuple of ints) mod
+    `modulus`."""
 
-    representatives: tuple[int, ...]
-    modulus: int
+    __slots__ = ()
 
     @property
     def count(self) -> int:

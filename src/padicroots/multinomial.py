@@ -20,7 +20,7 @@ nominally involves.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def multinomial_coeff(q: int, parts) -> int:
@@ -39,13 +39,11 @@ def multinomial_coeff(q: int, parts) -> int:
     return coeff
 
 
-@dataclass(frozen=True)
-class NkTerm:
+class NkTerm(namedtuple("NkTerm", "exponents coefficient")):
     """One term of N_k: exponent tuple (m_0, ..., m_{k-1}) plus its
     multinomial coefficient."""
 
-    exponents: tuple[int, ...]
-    coefficient: int
+    __slots__ = ()
 
     def evaluate(self, digits) -> int:
         return self.coefficient * math.prod(map(pow, digits, self.exponents))

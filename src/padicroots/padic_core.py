@@ -7,15 +7,15 @@ p**precision; the digit vector is a view of that residue.  gamma (the
 valuation) is always exact, so the absolute error of a value is
 O(p**(gamma + precision)).
 
-Values are immutable.  A zero is unit 0 known modulo p**(gamma +
-precision), gamma then being no valuation; arithmetic runs one formula
-for zeros and nonzeros alike, and a sum whose known digits all cancel is
-such a zero.  An int operand is exact and never narrows a result.
+Values are immutable: a PAdic refuses to set or delete any attribute,
+and copies and pickles are rebuilt through its checked constructor.  A
+zero is unit 0 known modulo p**(gamma + precision), gamma then being no
+valuation; arithmetic runs one formula for zeros and nonzeros alike, and
+a sum whose known digits all cancel is such a zero.  An int operand is
+exact and never narrows a result.
 """
 
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -128,21 +128,41 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-@dataclass(frozen=True)
 class PAdic:
-    p: int
-    gamma: int
-    unit: int
-    precision: int
+    __slots__ = __match_args__ = ("p", "gamma", "unit", "precision")
 
-    def __post_init__(self):
-        _require_prime(self.p)
-        if self.precision < 1:
+    def __init__(self, p: int, gamma: int, unit: int, precision: int):
+        _require_prime(p)
+        if precision < 1:
             raise ValueError("precision must be at least 1")
-        if not 0 <= self.unit < self.p**self.precision:
+        if not 0 <= unit < p**precision:
             raise ValueError("unit residue out of range for the precision")
-        if self.unit and self.unit % self.p == 0:
+        if unit and unit % p == 0:
             raise ValueError("unit part must have a nonzero first digit")
+        _set_p(self, p)
+        _set_gamma(self, gamma)
+        _set_unit(self, unit)
+        _set_precision(self, precision)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return self.p, self.gamma, self.unit, self.precision
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
 
     @property
     def is_zero(self) -> bool:
@@ -234,8 +254,10 @@ class PAdic:
         self._require_nonzero("valuation of")
         return self.gamma
 
-    def norm(self) -> Fraction:
+    def norm(self) -> "Fraction":
         """The p-adic absolute value p**(-gamma); norm of zero is 0."""
+        from fractions import Fraction
+
         if self.is_zero:
             return Fraction(0)
         return Fraction(self.p) ** (-self.gamma)
@@ -369,6 +391,12 @@ class PAdic:
 
     def __rsub__(self, other):
         return self._coerce(other).sub(self)
+
+
+# the slots' own setters fill a new PAdic: its __setattr__ refuses all
+_set_p, _set_gamma, _set_unit, _set_precision = (
+    getattr(PAdic, name).__set__ for name in PAdic.__slots__
+)
 
 
 def parse_value(text: str, p: int, precision: int) -> PAdic:

@@ -23,7 +23,7 @@ d0 + j*p can never match d0^p mod p^2, i.e. the j that force a nontrivial
 epsilon no matter what the first digit is.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, compress
 
 from .congruence import find_primitive_root, index, int_valuation, is_prime
@@ -40,18 +40,18 @@ _PRIME_BELOW_P = "classifier needs a prime exponent q < p"
 TABLE_BOUND = 10_000
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """x = epsilon * p^delta_exponent * y^q, exact to y's precision."""
+class Decomposition(
+    namedtuple(
+        "Decomposition",
+        "form epsilon delta_exponent y q epsilon_int eta eta_exponent",
+        defaults=(None, None, None),
+    )
+):
+    """x = epsilon * p^delta_exponent * y^q, exact to y's precision: form
+    is a FORM_* name, epsilon, y and eta are PAdic, and epsilon_int,
+    eta and eta_exponent may be None."""
 
-    form: str
-    epsilon: PAdic
-    delta_exponent: int
-    y: PAdic
-    q: int
-    epsilon_int: int | None = None
-    eta: PAdic | None = None
-    eta_exponent: int | None = None
+    __slots__ = ()
 
     def recompose(self) -> PAdic:
         return self.epsilon.mul(self.y.pow_nat(self.q)).shift(self.delta_exponent)

@@ -43,8 +43,8 @@ internal error raised as LiftContradictionError (never swallowed).
 """
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 from .congruence import (
@@ -71,26 +71,29 @@ class LiftContradictionError(RuntimeError):
     never a routine outcome."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    solvable: bool
-    case_used: str
-    failed_condition: str | None = None
-    details: str = ""
+class Verdict(
+    namedtuple(
+        "Verdict",
+        "solvable case_used failed_condition details",
+        defaults=(None, ""),
+    )
+):
+    """solvable (bool), the case_used (a CASE_* name), the failed_condition
+    (a COND_* name or chain_step k, None when solvable) and the details
+    naming the witness that decided."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """All roots found, sorted by unit residue; expected_count is the
-    number d = #mu_q(Q_p) of q-th roots of unity in Q_p, gcd(q, p-1) for
-    odd p and gcd(q, 2) for p = 2, for every q.  The roots are distinct to
-    any precision except one digit at p = 2, where r and -r print alike
-    and observed_count is 1.  Every root was checked once to satisfy
-    r^q = a (mod p^verify_k) before it was returned."""
+class RootSet(namedtuple("RootSet", "roots expected_count verify_k")):
+    """All roots found (a tuple of PAdic), sorted by unit residue;
+    expected_count is the number d = #mu_q(Q_p) of q-th roots of unity in
+    Q_p, gcd(q, p-1) for odd p and gcd(q, 2) for p = 2, for every q.  The
+    roots are distinct to any precision except one digit at p = 2, where r
+    and -r print alike and observed_count is 1.  Every root was checked
+    once to satisfy r^q = a (mod p^verify_k) before it was returned."""
 
-    roots: tuple[PAdic, ...]
-    expected_count: int
-    verify_k: int
+    __slots__ = ()
 
     @property
     def observed_count(self) -> int:

@@ -11,6 +11,7 @@ import json
 import math
 import resource
 import shlex
+import os
 import subprocess
 import sys
 from itertools import chain
@@ -780,6 +781,56 @@ def run_process(*argv, timeout=120, **kwargs):
         timeout=timeout,
         **kwargs,
     )
+
+
+# what a verdict never uses: the decomposition and carry-term modules, and
+# stdlib modules that only norm(), a dataclass or the json package load
+UNUSED_BY_VERDICTS = {
+    "padicroots.representation",
+    "padicroots.multinomial",
+    "fractions",
+    "decimal",
+    "dataclasses",
+    "json",
+}
+
+
+def test_process_check_and_root_import_only_what_they_run():
+    # the modules a bare interpreter already holds (a site .pth may preload
+    # some) are left out, so that they neither pass nor fail the test
+    probe = """
+import sys
+from padicroots.cli import main
+codes = [
+    main(["check", "--p", "5", "--q", "3", "--val", "2"]),
+    main(["root", "--p", "7", "--q", "2", "--val", "2", "--format", "structured"]),
+]
+print("modules:", *sys.modules)
+codes += [
+    main(["classify", "--p", "7", "--q", "3", "--val", "2"]),
+    main(["table", "--p-max", "13", "--format", "structured"]),
+    main(["expand", "--p", "3", "--q", "3", "--digits", "1,2", "--k", "3"]),
+]
+print(codes)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(padicroots.cli.__file__).parents[1])}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, env=env, check=True,
+        ).stdout.splitlines()
+        for code in ('import sys; print("modules:", *sys.modules)', probe)
+    ]
+    baseline, loaded = (
+        {m for line in out if line.startswith("modules:") for m in line.split()[1:]}
+        for out in runs
+    )
+    assert "padicroots.roots" in loaded - baseline
+    assert (loaded - baseline) & UNUSED_BY_VERDICTS == set()
+    out = runs[1]
+    assert out[-1] == "[0, 0, 0, 0, 0]"
+    assert "form: coprime_with_eta" in out and "N_3 = 8" in out
+    assert '  "command": "table",' in out
 
 
 def _cap_address_space():

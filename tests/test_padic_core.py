@@ -7,8 +7,10 @@ run as hypothesis properties over random values.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -118,6 +120,43 @@ def test_zero_shape():
         z.valuation()
     with pytest.raises(ValueError):
         z.unit_part()
+
+
+def test_value_is_immutable_and_hashable():
+    x = PAdic.from_int(27, 5, 4)
+    for name in ("p", "gamma", "unit", "precision", "other"):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(x, name)
+    assert (x.p, x.gamma, x.unit, x.precision) == (5, 0, 27, 4)
+    # equal values built by different routes hash alike
+    groups = [
+        [x, parse_value("0;2,0,1", 5, 4), PAdic.from_digits(5, 0, (2, 0, 1, 0))],
+        [PAdic.zero(5, 4), PAdic.from_digits(5, 0, (0, 0, 0, 0)), x.sub(27)],
+    ]
+    for group in groups:
+        assert all(a == b and hash(a) == hash(b) for a in group for b in group)
+    assert x != PAdic.from_int(27, 5, 5) and x != PAdic.from_int(27, 7, 4)
+    # a value is no tuple: not iterable, and unequal to its four fields
+    with pytest.raises(TypeError):
+        iter(x)
+    assert x != (5, 0, 27, 4) and (5, 0, 27, 4) != x
+
+
+@pytest.mark.parametrize(
+    "value",
+    [PAdic.from_int(27, 5, 4), PAdic.zero(3, 2), parse_value("-2;1,2", 3, 6)],
+)
+def test_value_copies_and_pickles_through_the_constructor(value):
+    for again in (
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+    ):
+        assert type(again) is PAdic and again == value
+    fields = (value.p, value.gamma, value.unit, value.precision)
+    assert value.__reduce__() == (PAdic, fields)
 
 
 # ---------------------------------------------------------------------------

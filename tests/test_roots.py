@@ -8,7 +8,11 @@ congruences without touching the library's lifting code.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +44,105 @@ def test_package_exports_resolve_once():
     names = padicroots.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(padicroots, n)] == []
+    # a name is read from its submodule once and then kept on the package
+    for name, module in padicroots._SOURCES.items():
+        assert vars(padicroots)[name] is vars(sys.modules[f"padicroots.{module}"])[name]
+    star: dict = {}
+    exec("from padicroots import *", star)
+    assert [n for n in names if n not in star] == []
+    assert set(names) <= set(dir(padicroots))
+    with pytest.raises(AttributeError) as err:
+        padicroots.no_such_name
+    assert str(err.value) == "module 'padicroots' has no attribute 'no_such_name'"
+
+
+def test_bare_package_import_loads_no_submodule():
+    probe = (
+        "import sys, padicroots\n"
+        "print(sorted(m for m in sys.modules if m.startswith('padicroots')))\n"
+    )
+    src = str(Path(padicroots.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "['padicroots']\n", "")
+
+
+@pytest.mark.parametrize(
+    "record, fields, defaults, example, text",
+    [
+        (
+            Verdict,
+            "solvable case_used failed_condition details",
+            {"failed_condition": None, "details": ""},
+            lambda: Verdict(False, "square"),
+            "Verdict(solvable=False, case_used='square', failed_condition=None, "
+            "details='')",
+        ),
+        (
+            padicroots.RootSet,
+            "roots expected_count verify_k",
+            {},
+            lambda: lift_roots(PAdic.from_int(2, 7, 3), 2, 2),
+            "RootSet(roots=(PAdic(p=7, gamma=0, digits=[3, 1]), PAdic(p=7, "
+            "gamma=0, digits=[4, 5])), expected_count=2, verify_k=2)",
+        ),
+        (
+            padicroots.congruence._UnitGroup,
+            "m phi g step baby giant",
+            {},
+            lambda: padicroots.congruence._unit_group(7),
+            "_UnitGroup(m=7, phi=6, g=3, step=3, baby={1: 0, 3: 1, 2: 2}, giant=6)",
+        ),
+        (
+            padicroots.IndexValue,
+            "base_r value modulus_phi",
+            {},
+            lambda: padicroots.index(3, 2, 7),
+            "IndexValue(base_r=3, value=2, modulus_phi=6)",
+        ),
+        (
+            padicroots.CongruenceSolution,
+            "representatives modulus",
+            {},
+            lambda: padicroots.solve_linear(2, 4, 6),
+            "CongruenceSolution(representatives=(2, 5), modulus=6)",
+        ),
+        (
+            padicroots.NkTerm,
+            "exponents coefficient",
+            {},
+            lambda: padicroots.nk_terms(3, 2)[0],
+            "NkTerm(exponents=(1, 2), coefficient=3)",
+        ),
+        (
+            padicroots.Decomposition,
+            "form epsilon delta_exponent y q epsilon_int eta eta_exponent",
+            {"epsilon_int": None, "eta": None, "eta_exponent": None},
+            lambda: padicroots.classify(PAdic.from_int(2, 7, 3), 3),
+            "Decomposition(form='coprime_with_eta', epsilon=PAdic(p=7, gamma=0, "
+            "digits=[2, 1, 0]), delta_exponent=0, y=PAdic(p=7, gamma=0, "
+            "digits=[4, 6, 0]), q=3, epsilon_int=None, eta=PAdic(p=7, gamma=0, "
+            "digits=[3, 0, 0]), eta_exponent=2)",
+        ),
+    ],
+)
+def test_records_keep_their_fields_defaults_and_repr(
+    record, fields, defaults, example, text
+):
+    # the fields, defaults and reprs the frozen dataclasses these records
+    # once were had
+    assert record._fields == tuple(fields.split())
+    assert record._field_defaults == defaults
+    value = example()
+    assert type(value) is record and repr(value) == text
+    assert list(value._asdict()) == list(record._fields)
+    with pytest.raises(AttributeError):
+        value.no_such_field = 1
 
 
 # ---------------------------------------------------------------------------
