@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import resource
 import shlex
-import os
 import subprocess
 import sys
 from itertools import chain

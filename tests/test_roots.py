@@ -52,7 +52,7 @@ def test_package_exports_resolve_once():
     assert [n for n in names if n not in star] == []
     assert set(names) <= set(dir(padicroots))
     with pytest.raises(AttributeError) as err:
-        padicroots.no_such_name
+        getattr(padicroots, "no_such_name")
     assert str(err.value) == "module 'padicroots' has no attribute 'no_such_name'"
 
 
@@ -134,8 +134,7 @@ def test_bare_package_import_loads_no_submodule():
 def test_records_keep_their_fields_defaults_and_repr(
     record, fields, defaults, example, text
 ):
-    # the fields, defaults and reprs the frozen dataclasses these records
-    # once were had
+    # pinned to what the records held and printed as frozen dataclasses
     assert record._fields == tuple(fields.split())
     assert record._field_defaults == defaults
     value = example()
