@@ -134,12 +134,18 @@ class _Runs(tuple):
     concatenation is the list."""
 
 
+class _Terms(tuple):
+    """A list of N_k terms held as (exponents, coefficient, value) triples
+    of plain ints, every exponents tuple of the same length k; written as
+    the list of {"exponents": [...], "coefficient": c, "value": v}."""
+
+
 def _json(x, indent: str = "\n") -> str:
     """x as JSON, byte for byte as json.dumps(x, indent=2) writes it, for
-    the types the commands emit: dict with str keys, list, _Runs, str, int,
-    bool and None.  Strings go through the stdlib's C escaper, and a list of
-    plain ints (no bools), or each run of a _Runs, is written by one
-    format."""
+    the types the commands emit: dict with str keys, list, _Runs, _Terms,
+    str, int, bool and None.  Strings go through the stdlib's C escaper, and
+    a list of plain ints (no bools), each run of a _Runs, or each term of a
+    _Terms, is written by one format."""
     t = type(x)
     if t is str:
         return _quote(x)
@@ -162,6 +168,19 @@ def _json(x, indent: str = "\n") -> str:
     if t is _Runs:
         body = sep.join([sep.join(["%d"] * len(r)) % tuple(r) for r in x if r])
         return f"[{inner}{body}{indent}]" if body else "[]"
+    if t is _Terms:
+        if not x:
+            return "[]"
+        key = inner + "  "  # a term's keys
+        deep = key + "  "  # its exponents
+        k = len(x[0][0])
+        exponents = f"[{deep}{(',' + deep).join(['%d'] * k)}{key}]" if k else "[]"
+        term = (
+            f'{{{key}"exponents": {exponents},'
+            f'{key}"coefficient": %d,{key}"value": %d{inner}}}'
+        )
+        body = sep.join([term % (*e, c, v) for e, c, v in x])
+        return f"[{inner}{body}{indent}]"
     if t is dict:
         if not x:
             return "{}"
@@ -424,10 +443,7 @@ def cmd_expand(args) -> str:
             "q": args.q,
             "k": args.k,
             "digits": digits,
-            "terms": [
-                {"exponents": list(e), "coefficient": c, "value": value}
-                for e, c, value in terms
-            ],
+            "terms": _Terms(terms),
             "n_k": nk,
             "leading_term": lead,
             "coefficient_total": lead + nk,

@@ -91,6 +91,9 @@ def nk_walk(q: int, k: int, digits) -> list[tuple[tuple[int, ...], int, int]]:
             tail[pos] = 0
 
     rec(k, q, k, 1, 1)
+    # rec's closure holds rec itself: empty that cell, or the cycle keeps
+    # out alive until the garbage collector next runs
+    del rec
     return out
 
 

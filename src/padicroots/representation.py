@@ -21,10 +21,17 @@ q and p:
 j_no_solution_table lists, per odd prime, the second digits j for which
 d0 + j*p can never match d0^p mod p^2, i.e. the j that force a nontrivial
 epsilon no matter what the first digit is.
+
+Under Z_p^* = mu_(p-1) x (1 + pZ_p) the units passing the digit test are
+the Teichmueller representatives omega(i) = i^p mod p^2: the one d0 + j*p
+that passes for d0 = i has j = j_i, the second base-p digit of omega(i).
+The p-1 representatives are the powers of omega(g) for a primitive root g,
+so the table rows, epsilon_set and derived_epsilon_set all read j_i from
+one walk through those powers, one product mod p^2 per entry.
 """
 
 from collections import namedtuple
-from itertools import chain, compress
+from itertools import chain, compress, filterfalse
 
 from .congruence import find_primitive_root, index, int_valuation, is_prime
 from .padic_core import PAdic, PrecisionError
@@ -142,10 +149,22 @@ def classify_p(x: PAdic) -> Decomposition:
 
 
 def _second_digits(p: int) -> list[int]:
-    """j_i = ((i^p - i) mod p^2) / p for i in [1, p-1]: i + j*p passes the
-    digit test i^p = i + j*p (mod p^2) exactly at j = j_i."""
+    """j_i = ((i^p - i) mod p^2) / p for i in [1, p-1], odd prime p: i + j*p
+    passes the digit test i^p = i + j*p (mod p^2) exactly at j = j_i.
+
+    i^p mod p^2 = i + j_i*p is the Teichmueller representative omega(i)
+    mod p^2, and these are the powers of t = omega(g) = g^p for the
+    smallest primitive root g.  One product mod p^2 per step walks them:
+    w = omega(i) is i mod p and j_i above it."""
     pp = p * p
-    return [(pow(i, p, pp) - i) % pp // p for i in range(1, p)]
+    t = pow(find_primitive_root(p), p, pp)
+    row = [0] * p
+    w = 1
+    for _ in range(1, p):
+        row[w % p] = w // p
+        w = w * t % pp
+    del row[0]
+    return row
 
 
 def epsilon_set(p: int) -> tuple[int, ...]:
@@ -178,8 +197,7 @@ def j_no_solution_table(p_max: int) -> dict[int, tuple[int, ...]]:
 
 def _j_row(p: int) -> tuple[int, ...]:
     """The j_no_solution_table row of one odd prime p: the j no j_i hits."""
-    hit = set(_second_digits(p))
-    return tuple(j for j in range(p) if j not in hit)
+    return tuple(filterfalse(set(_second_digits(p)).__contains__, range(p)))
 
 
 def derived_epsilon_set(p: int) -> tuple[int, ...]:

@@ -7,6 +7,8 @@ codes.  Structured output must carry the same data as the plain text.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -18,14 +20,15 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
 import padicroots.cli
 import padicroots.representation
 import padicroots.roots
-from padicroots.cli import LIST_CAP, ROOT_DIGIT_BUDGET, _json, _Runs, main
+from padicroots.cli import LIST_CAP, ROOT_DIGIT_BUDGET, _json, _Runs, _Terms, main
+from padicroots.multinomial import nk_sequence, nk_terms
 from padicroots.representation import derived_epsilon_set, j_no_solution_table
 from padicroots.roots import Verdict
 
@@ -247,10 +250,19 @@ _json_runs = st.lists(
     ),
     max_size=5,
 ).map(_Runs)
+# N_k terms with 0 to 3 exponents each, empty lists of them too
+_json_ints = st.integers(-(10**30), 10**30)
+_json_terms = st.integers(0, 3).flatmap(
+    lambda k: st.lists(
+        st.tuples(st.tuples(*[_json_ints] * k), _json_ints, _json_ints),
+        max_size=4,
+    )
+).map(_Terms)
 _json_values = st.recursive(
     _json_leaves
-    | st.lists(st.integers(-(10**30), 10**30) | st.booleans())
-    | _json_runs,
+    | st.lists(_json_ints | st.booleans())
+    | _json_runs
+    | _json_terms,
     lambda inner: st.lists(inner, max_size=5)
     | st.dictionaries(st.text(), inner, max_size=5),
     max_leaves=20,
@@ -258,9 +270,12 @@ _json_values = st.recursive(
 
 
 def _built_out(x):
-    """x with every _Runs replaced by the list of its ints."""
+    """x with every _Runs replaced by the list of its ints, and every
+    _Terms by a list of one dict per term."""
     if type(x) is _Runs:
         return list(chain(*x))
+    if type(x) is _Terms:
+        return [{"exponents": list(e), "coefficient": c, "value": v} for e, c, v in x]
     if type(x) is list:
         return [_built_out(v) for v in x]
     if type(x) is dict:
@@ -272,7 +287,8 @@ def _built_out(x):
 @given(_json_values)
 def test_json_writer_matches_stdlib(x):
     # non-ASCII and escaped strings, big negative ints, int lists with a
-    # bool among them, runs (empty ones too), empty and nested containers
+    # bool among them, runs (empty ones too), terms (empty lists, terms
+    # with no or one exponent), empty and nested containers
     assert _json(x) == json.dumps(_built_out(x), indent=2)
 
 
@@ -593,6 +609,51 @@ def test_expand_with_no_terms_says_none(capsys):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 13]),
+    st.integers(1, 7),
+    st.integers(1, 12),
+    st.lists(st.integers(0, 12), min_size=1, max_size=14),
+)
+@example(p=3, q=1, k=4, digits=[1, 2])  # x^1 has no terms
+@example(p=5, q=3, k=1, digits=[4])  # neither has N_1
+def test_structured_expand_is_stdlib_json_of_dict_terms(p, q, k, digits):
+    # the terms are written without a dict per term; the text must be what
+    # json.dumps writes for those dicts, with the values and N_k taken from
+    # NkTerm.evaluate and the generating polynomial
+    digits = [d % p for d in digits]
+    argv = ["expand", "--p", str(p), "--q", str(q), "--k", str(k)]
+    argv += ["--digits", ",".join(map(str, digits)), "--format", "structured"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    padded = digits + [0] * (k + 1 - len(digits))
+    terms = [
+        {
+            "exponents": list(t.exponents),
+            "coefficient": t.coefficient,
+            "value": t.evaluate(padded),
+        }
+        for t in nk_terms(q, k)
+    ]
+    nk = nk_sequence(q, padded, k)[k - 1]
+    lead = q * padded[0] ** (q - 1) * padded[k]
+    payload = {
+        "command": "expand",
+        "p": p,
+        "q": q,
+        "k": k,
+        "digits": digits,
+        "terms": terms,
+        "n_k": nk,
+        "leading_term": lead,
+        "coefficient_total": lead + nk,
+    }
+    assert sum(t["value"] for t in terms) == nk
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -862,6 +923,15 @@ def test_process_expand_without_terms_answers_at_any_k():
     assert done.stdout.endswith(
         "  (none)\nN_1000000000 = 0\ncoefficient of p^1000000000 = 0\n"
     )
+
+
+def test_process_check_at_a_64_bit_prime_answers_quickly():
+    # is_prime of 10^18 + 3 once trial-divided up to 10^9
+    done = run_process(
+        "check", "--p", "1000000000000000003", "--q", "2", "--val", "3", timeout=5
+    )
+    assert done.returncode == 0
+    assert "verdict: unsolvable" in done.stdout
 
 
 def test_process_root_exit_codes():

@@ -1,7 +1,8 @@
 """Differential tests of the congruence layer against sympy 1.14.
 
 sympy's `isprime` and `factorint` are a second, independent route to the
-answers of `is_prime` and `factorize`, and its `primitive_root`,
+answers of `is_prime` (trial division, and Miller-Rabin up to 2^80 here)
+and `factorize`, and its `primitive_root`,
 `discrete_log` and `nthroot_mod` to those of `find_primitive_root`, `index`
 and `power_residue_solve`.  The moduli reach well past the exhaustive tests'
 bound of 2000, up to about 10^7, where the giant-step walk runs long.
@@ -13,7 +14,9 @@ import math
 import random
 
 import pytest
-from sympy import factorint, isprime
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import factorint, isprime, nextprime
 from sympy.ntheory import discrete_log, nthroot_mod, primitive_root
 
 from padicroots import euler_phi, find_primitive_root, index, is_prime, power_residue_solve
@@ -56,6 +59,41 @@ def test_is_prime_and_factorize_match_sympy():
     for n in drawn + semiprimes + more:
         assert factorize(n) == factorint(n), n
         assert is_prime(n) == isprime(n), n
+
+
+# three primes past trial division; 3215031751, the least strong
+# pseudoprime to bases 2, 3, 5 and 7; 3825123056546413051, one to bases 2
+# to 23; 318665857834031151167461, the least to the first 12 prime bases,
+# 2 to 37, which the 13th, 41, exposes; Carmichael numbers, which trial
+# division answers; the two ends of its range, 2^20
+MILLER_RABIN_CASES = [
+    2**61 - 1,
+    2**64 - 59,
+    10**18 + 3,
+    3215031751,
+    3825123056546413051,
+    318665857834031151167461,
+    561,
+    41041,
+    825265,
+    2**20 - 3,
+    2**20 + 7,
+]
+
+
+def test_is_prime_matches_sympy_past_trial_division():
+    for n in MILLER_RABIN_CASES:
+        for m in (n - 2, n, n + 2):
+            assert is_prime(m) == isprime(m), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**79 - 1).map(lambda k: 2 * k + 1)
+    | st.integers(2**20, 2**79).map(nextprime)
+)
+def test_is_prime_matches_sympy_on_odd_n_below_2_80(n):
+    assert is_prime(n) == isprime(n)
 
 
 def _units(m: int, rng: random.Random, count: int) -> list[int]:

@@ -8,6 +8,7 @@ coefficients by polynomial convolution over plain integers.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 
@@ -114,6 +115,18 @@ def test_walk_values_are_the_terms_evaluated(q, k, data):
     fresh = [(t.exponents, t.coefficient, t.evaluate(digits)) for t in nk_terms(q, k)]
     assert walk == fresh
     assert sum(value for _, _, value in walk) == nk_sequence(q, digits + [0], k)[k - 1]
+
+
+def test_walk_leaves_no_reference_cycle():
+    # the terms are freed as soon as the caller drops them, not at the next
+    # run of the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        nk_walk(7, 25, [1] * 25)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_term_count_is_the_number_of_terms():

@@ -28,6 +28,7 @@ from padicroots import (
     lift_root,
     verify_c1,
 )
+from padicroots.representation import _j_row, _second_digits
 
 # frozen from the literal big-integer scan of i^p = i + jp mod p^2
 GOLDEN_J_TABLE = {
@@ -108,6 +109,16 @@ def test_epsilon_set_matches_pow_compare():
     for p in (1, 2, 4, 9):
         with pytest.raises(ValueError):
             epsilon_set(p)
+
+
+def test_second_digits_and_rows_match_the_definition():
+    # the walk through the Teichmueller powers against one pow per i, for
+    # every odd prime below 2000 and for 9973, the largest under 10^4
+    for p in bf.primes_upto(2000)[1:] + [9973]:
+        pp = p * p
+        want = [(pow(i, p, pp) - i) % pp // p for i in range(1, p)]
+        assert _second_digits(p) == want, p
+        assert _j_row(p) == tuple(sorted(set(range(p)) - set(want))), p
 
 
 def test_epsilon_set_is_refused_above_the_table_bound(monkeypatch):

@@ -29,7 +29,8 @@ bytes.  The requests are:
   exponents) is over it;
 * structured `table` at --p-max 150 (the benchmark's) and 358, the largest
   table under the list bound, and `table --p-max 359 --format
-  structured`, the least table over it (1,000,487 epsilon entries).
+  structured`, the least table over it (1,000,487 epsilon entries);
+* plain `table --p-max 2000`, the rows of every odd prime below 2000.
 
 --src picks the directory padicroots is imported from (default: this
 checkout's src), so one checkout's requests can run against another's
@@ -94,6 +95,7 @@ def requests() -> list[list[str]]:
     out.append(["expand", "--p", "3", "--q", "3", "--digits", "1", "--k", "600"])
     for p_max in (150, 358, 359):
         out.append(["table", "--p-max", str(p_max), "--format", "structured"])
+    out.append(["table", "--p-max", "2000"])
     return out
 
 
