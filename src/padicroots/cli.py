@@ -8,8 +8,9 @@ classify and table import the representation module, and expand the
 multinomial one, when they run: check and root never load them.
 
 Exit codes: 0 for any computed result, including unsolvable verdicts and
-empty congruence solution sets; 2 for unusable input; 3 when internal
-cross-checks disagree, which indicates a bug rather than bad input.
+empty congruence solution sets; 2 for unusable input, including every
+request that _admit refuses before any work; 3 when internal cross-checks
+disagree, which indicates a bug rather than bad input.
 """
 
 import argparse
@@ -20,6 +21,7 @@ import sys
 from _json import encode_basestring_ascii as _quote
 
 from .congruence import (
+    LIST_CAP,
     euler_phi,
     int_valuation,
     power_residue_solve,
@@ -32,10 +34,9 @@ PRECISION_CAP = 10_000
 # root prints d * precision digits for its d = root_count(p, q) roots; a
 # request for more than this many is refused before any work
 ROOT_DIGIT_BUDGET = 10**5
-# the most integers one request lists: congr refuses a congruence that may
-# have more solutions and expand terms with more exponents before any work,
-# structured table more epsilon entries once its rows are known
-LIST_CAP = 10**6
+# root and classify: the most bit^2 a lift takes, at bits^2 per product (the
+# schoolbook reduction CPython runs at these sizes); see _admit
+LIFT_WORK_BUDGET = 4 * 10**11
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,6 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    lift_rules = (
+        f" A p with isqrt(p) above {LIST_CAP}, or a lift of more than "
+        f"{LIFT_WORK_BUDGET:.0e} bit^2 (d * bitlen(q) products at (precision "
+        "+ v_p(q)) * bitlen(p-1) bits), exits 2 before any work."
+    )
 
     def common(sp):
         sp.add_argument("--p", type=int, required=True, help="prime p of Q_p")
@@ -70,10 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
             description="Construct all roots of x^q = val. The d roots, "
             "d = gcd(q, p-1) (gcd(q, 2) at p = 2), print d * precision "
             f"digits; a request for more than {ROOT_DIGIT_BUDGET} exits 2 "
-            "before any work.",
+            "before any work." + lift_rules,
         )
     )
-    common(sub.add_parser("classify", help="decompose val as eps * p^j * y^q"))
+    about = "decompose val as eps * p^j * y^q"
+    common(sub.add_parser("classify", help=about, description=about + "." + lift_rules))
 
     table = sub.add_parser(
         "table",
@@ -91,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve a*x = b (mod n) or x^n = a (mod m) and list every "
         f"solution. A congruence that may have more than {LIST_CAP} "
         "solutions exits 2: linear when gcd(a, n) divides b and exceeds the "
-        "bound, pow-residue when gcd(n, phi(m)) does.",
+        "bound, pow-residue when gcd(n, phi(m)) does, or when isqrt(m), the "
+        f"baby steps of its unit group, is above {LIST_CAP}.",
     )
     congr.add_argument("which", choices=("linear", "pow-residue"))
     congr.add_argument("--a", type=int, required=True)
@@ -195,22 +203,111 @@ def _emit(args, plain_lines, payload) -> str:
     return "\n".join(plain_lines)
 
 
-def _parse_equation(args) -> PAdic:
-    """The value of x^q = val, read to precision + v_p(q) digits: the lift
-    reads v_p(q) digits beyond those of the roots."""
-    if args.q < 2:
-        raise ValueError("exponent q must be at least 2")
-    _require_prime(args.p)
-    if not 1 <= args.precision <= PRECISION_CAP:
-        raise ValueError(f"precision must be in [1, {PRECISION_CAP}]")
-    if args.command == "root":
+def _admit(args) -> None:
+    """Refuse a malformed request, or one over a bound, before any work: one
+    rule per command (README, Bounds), called once by main.  The one bound
+    checked later is structured table's entry count, which needs the rows.
+    expand's digit list is parsed here, once, into args.digits."""
+    cmd = args.command
+    if cmd in ("check", "root", "classify"):
+        if args.q < 2:
+            raise ValueError("exponent q must be at least 2")
+        _require_prime(args.p)
+        if not 1 <= args.precision <= PRECISION_CAP:
+            raise ValueError(f"precision must be in [1, {PRECISION_CAP}]")
+        if cmd == "check":
+            return
         d = root_count(args.p, args.q)
-        if d * args.precision > ROOT_DIGIT_BUDGET:
+        if cmd == "root" and d * args.precision > ROOT_DIGIT_BUDGET:
             raise ValueError(
                 f"{d} roots at precision {args.precision} are "
                 f"{d * args.precision} digits, more than the "
                 f"{ROOT_DIGIT_BUDGET} root prints"
             )
+        _admit_steps("p", args.p, cmd)
+        # d roots checked by powers of bitlen(q) products, at this many bits
+        c = int_valuation(args.q, args.p)  # the lift reads c digits more
+        bits = (args.precision + c) * (args.p - 1).bit_length()
+        if (work := d * args.q.bit_length() * bits**2) > LIFT_WORK_BUDGET:
+            raise ValueError(
+                f"{d} roots of {bits} bits and {args.q.bit_length()}-bit powers are "
+                f"{work:.2e} bit^2 of lift work, more than the {LIFT_WORK_BUDGET:.0e} "
+                f"{cmd} takes"
+            )
+    elif cmd == "table":
+        from .representation import _check_table_bound
+
+        if args.p_max < 3:
+            raise ValueError("--p-max must be at least 3")
+        _check_table_bound(args.p_max)
+    elif cmd == "congr" and args.which == "linear":
+        if args.b is None:
+            raise ValueError("linear congruence needs --b")
+        if args.n != 0:  # solve_linear names a zero modulus
+            g = math.gcd(args.a % args.n, args.n)
+            if g > LIST_CAP and args.b % g == 0:
+                raise ValueError(f"{g} solutions, more than the {LIST_CAP} congr lists")
+    elif cmd == "congr":
+        if args.m is None:
+            raise ValueError("power residue congruence needs --m")
+        _admit_steps("m", args.m, cmd)
+        # gcd(n, phi(m)) bounds the count; it can pass the cap only when n does
+        if args.n > LIST_CAP and args.m >= 2:
+            d = math.gcd(args.n, euler_phi(args.m))
+            if d > LIST_CAP:
+                raise ValueError(
+                    f"up to {d} solutions, more than the {LIST_CAP} congr lists"
+                )
+    else:
+        from .multinomial import nk_term_count
+
+        _require_prime(args.p)
+        if args.q < 1 or args.k < 1:
+            raise ValueError("q and k must be at least 1")
+        try:
+            digits = [int(x) for x in args.digits.split(",")]
+        except ValueError:
+            raise ValueError(f"malformed digit list {args.digits!r}") from None
+        for d in digits:
+            if not 0 <= d < args.p:
+                raise ValueError(f"digit {d} out of range for p={args.p}")
+        # every integer printed (terms, N_k, lead, coefficients summing to k^q)
+        # is at most base^q, of q * log10(base) digits: an exact product, as q
+        # may be past the float range
+        base = max(args.k, sum(digits[: args.k + 1]))
+        size = (args.q * int(math.log10(base) * 2**64) >> 64) + 1
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if size > limit:
+            raise ValueError(
+                f"integers up to {base}^{args.q} ({size} digits) exceed the "
+                f"{limit}-digit limit"
+            )
+        # every term lists k exponents: count the terms before building any
+        count = nk_term_count(args.q, args.k, LIST_CAP // args.k)
+        if count and args.k > LIST_CAP:
+            raise ValueError(
+                f"one term of N_{args.k} lists {args.k} exponents, more than the "
+                f"{LIST_CAP} expand lists"
+            )
+        if count * args.k > LIST_CAP:
+            raise ValueError(
+                f"N_{args.k} has more than {LIST_CAP // args.k} terms of {args.k} "
+                f"exponents each, more than the {LIST_CAP} expand lists"
+            )
+        args.digits = digits
+
+
+def _admit_steps(name: str, n: int, cmd: str) -> None:
+    """Refuse a modulus n whose unit group takes more than LIST_CAP baby
+    steps and trial divisors, isqrt(n) each."""
+    if n > 0 and math.isqrt(n) > LIST_CAP:
+        steps = f"{name} = {n} takes {math.isqrt(n)} baby steps"
+        raise ValueError(f"{steps}, more than the {LIST_CAP} {cmd} takes")
+
+
+def _parse_equation(args) -> PAdic:
+    """The value of x^q = val, read to precision + v_p(q) digits: the lift
+    reads v_p(q) digits beyond those of the roots."""
     extra_digits = int_valuation(args.q, args.p)
     a = parse_value(args.val, args.p, args.precision + extra_digits)
     if a.is_zero:
@@ -322,8 +419,6 @@ def cmd_classify(args) -> str:
 def cmd_table(args) -> str:
     from .representation import _epsilon_runs, j_no_solution_table
 
-    if args.p_max < 3:
-        raise ValueError("--p-max must be at least 3")
     table = j_no_solution_table(args.p_max)
     if args.format == "plain":  # plain output never shows the epsilon sets
         return "\n".join(
@@ -347,12 +442,6 @@ def cmd_table(args) -> str:
 
 def cmd_congr(args) -> str:
     if args.which == "linear":
-        if args.b is None:
-            raise ValueError("linear congruence needs --b")
-        if args.n != 0:  # solve_linear names a zero modulus
-            g = math.gcd(args.a % args.n, args.n)
-            if g > LIST_CAP and args.b % g == 0:
-                raise ValueError(f"{g} solutions, more than the {LIST_CAP} congr lists")
         sol = solve_linear(args.a, args.b, args.n)
         desc = f"{args.a}*x = {args.b} (mod {args.n})"
         payload = {
@@ -363,15 +452,6 @@ def cmd_congr(args) -> str:
             "n": args.n,
         }
     else:
-        if args.m is None:
-            raise ValueError("power residue congruence needs --m")
-        # gcd(n, phi(m)) bounds the count; it can pass the cap only when n does
-        if args.n > LIST_CAP and args.m >= 2:
-            d = math.gcd(args.n, euler_phi(args.m))
-            if d > LIST_CAP:
-                raise ValueError(
-                    f"up to {d} solutions, more than the {LIST_CAP} congr lists"
-                )
         sol = power_residue_solve(args.n, args.a, args.m)
         desc = f"x^{args.n} = {args.a} (mod {args.m})"
         payload = {
@@ -399,41 +479,14 @@ def cmd_congr(args) -> str:
 
 
 def cmd_expand(args) -> str:
-    from .multinomial import nk_term_count, nk_walk
+    from .multinomial import nk_walk
 
-    _require_prime(args.p)
-    if args.q < 1 or args.k < 1:
-        raise ValueError("q and k must be at least 1")
-    try:
-        digits = [int(x) for x in args.digits.split(",")]
-    except ValueError:
-        raise ValueError(f"malformed digit list {args.digits!r}") from None
-    for d in digits:
-        if not 0 <= d < args.p:
-            raise ValueError(f"digit {d} out of range for p={args.p}")
-    # every integer printed (the terms, N_k, the lead, and the coefficients,
-    # which sum to k^q) is at most base^q; its digit count comes from a log,
-    # so nothing is raised to the q-th power before the request is admitted
-    base = max(args.k, sum(digits[: args.k + 1]))
-    size = int(args.q * math.log10(base)) + 1
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if size > limit:
-        raise ValueError(
-            f"integers up to {base}^{args.q} ({size} digits) exceed the "
-            f"{limit}-digit limit"
-        )
-    # every term lists k exponents: count the terms before building any
-    count = nk_term_count(args.q, args.k, LIST_CAP // args.k)
-    if count * args.k > LIST_CAP:
-        raise ValueError(
-            f"N_{args.k} has more than {LIST_CAP // args.k} terms of {args.k} "
-            f"exponents each, more than the {LIST_CAP} expand lists"
-        )
+    digits = args.digits  # parsed and checked by _admit
     d_k = digits[args.k] if args.k < len(digits) else 0
     lead = args.q * digits[0] ** (args.q - 1) * d_k
     # with no terms (q = 1 or k = 1) any k is admitted: pad no digits to it
     terms = []
-    if count:
+    if args.q > 1 and args.k > 1:
         terms = nk_walk(args.q, args.k, digits + [0] * (args.k - len(digits)))
     nk = sum(value for _, _, value in terms)
     if args.format == "structured":
@@ -478,6 +531,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        _admit(args)
         out = _DISPATCH[args.command](args)
     except LiftContradictionError as e:
         print(f"internal error: {e}", file=sys.stderr)

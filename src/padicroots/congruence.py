@@ -21,6 +21,8 @@ from functools import lru_cache
 # baby-step entries kept in all by `_unit_group` (a record without a table
 # counts as one); about 100 bytes each
 _UNIT_GROUP_TABLE_ENTRIES = 1 << 17
+# the most integers a command-line request or epsilon_set lists or steps through
+LIST_CAP = 10**6
 
 
 def _prime_factors(n: int) -> Iterator[int]:
@@ -44,8 +46,8 @@ def _prime_factors(n: int) -> Iterator[int]:
 # Miller-Rabin to the first 13 prime bases, 2 to 41, has no strong
 # pseudoprime below _MR_PROVEN_BOUND (Sorenson and Webster, Math. Comp.
 # 2017); the first 12, 2 to 37, are proven only below 3.186 * 10^23.
-# Below _TRIAL_BOUND trial division is as fast, and it is the only test
-# proven at and above _MR_PROVEN_BOUND.
+# Below _TRIAL_BOUND trial division is as fast; at and above
+# _MR_PROVEN_BOUND no test here is both proven and bounded, so none is run.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _TRIAL_BOUND = 1 << 20
@@ -53,11 +55,13 @@ _TRIAL_BOUND = 1 << 20
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Whether n > 1 is prime: for _TRIAL_BOUND <= n < _MR_PROVEN_BOUND by
-    the deterministic Miller-Rabin test, otherwise by whether n is its own
-    least prime factor (that search stops at the first factor found)."""
-    if n < _TRIAL_BOUND or n >= _MR_PROVEN_BOUND:
+    """Whether n > 1 is prime: below _TRIAL_BOUND by whether n is its own
+    least prime factor, then below _MR_PROVEN_BOUND by the deterministic
+    Miller-Rabin test.  A larger n raises ValueError."""
+    if n < _TRIAL_BOUND:
         return n > 1 and next(_prime_factors(n)) == n
+    if n >= _MR_PROVEN_BOUND:
+        raise ValueError(f"primality is decided only below 3.317*10^24, got {n}")
     if n % 2 == 0:
         return False
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd

@@ -33,7 +33,7 @@ one walk through those powers, one product mod p^2 per entry.
 from collections import namedtuple
 from itertools import chain, compress, filterfalse
 
-from .congruence import find_primitive_root, index, int_valuation, is_prime
+from .congruence import LIST_CAP, find_primitive_root, index, int_valuation, is_prime
 from .padic_core import PAdic, PrecisionError
 from .roots import LiftContradictionError, decide, lift_root
 
@@ -173,10 +173,13 @@ def epsilon_set(p: int) -> tuple[int, ...]:
     j in [0, p-1]) failing the digit test i^p = i + j*p (mod p^2).
 
     That is 1, then each run j*p+1 .. j*p+p-1 with every i whose j_i = j
-    left out (1 is always left out of the j = 0 run: j_1 = 0)."""
+    left out (1 is always left out of the j = 0 run: j_1 = 0).  A set of
+    more than LIST_CAP entries is refused before any is built."""
     _check_table_bound(p)
     if not is_prime(p) or p == 2:
         raise ValueError("epsilon_set is defined for odd primes")
+    if (n := 1 + (p - 1) ** 2) > LIST_CAP:
+        raise ValueError(f"epsilon_set({p}) has {n} entries, more than {LIST_CAP}")
     keep = bytearray([0] + [1] * (p - 1)) * p
     for i, j in enumerate(_second_digits(p), 1):
         keep[i + j * p] = 0

@@ -12,24 +12,41 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import shlex
 import subprocess
 import sys
+import time
+from datetime import timedelta
 from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
 import padicroots.cli
 import padicroots.representation
 import padicroots.roots
-from padicroots.cli import LIST_CAP, ROOT_DIGIT_BUDGET, _json, _Runs, _Terms, main
+from padicroots.cli import (
+    LIFT_WORK_BUDGET,
+    LIST_CAP,
+    PRECISION_CAP,
+    ROOT_DIGIT_BUDGET,
+    _json,
+    _Runs,
+    _Terms,
+    main,
+)
+from padicroots.congruence import _MR_PROVEN_BOUND
 from padicroots.multinomial import nk_sequence, nk_terms
-from padicroots.representation import derived_epsilon_set, j_no_solution_table
+from padicroots.representation import (
+    TABLE_BOUND,
+    derived_epsilon_set,
+    j_no_solution_table,
+)
 from padicroots.roots import Verdict
 
 
@@ -574,6 +591,104 @@ def test_table_structured_at_the_list_cap_answers(capsys, monkeypatch):
     assert "a table of more than 1000000 exits 2" in help_text
 
 
+def test_lift_work_rule_admits_exactly_the_budget(capsys, monkeypatch):
+    # at p = 101 and 40 digits a lift runs at 40 * bitlen(100) = 280 bits:
+    # d = gcd(q, 100) roots, each checked by a power to the bitlen(q)-bit q
+    for cmd, q, d, b in (("root", "10", 10, 4), ("classify", "5", 5, 3)):
+        argv = [cmd, "--p", "101", "--q", q, "--val", "1", "--precision", "40"]
+        work = d * b * 280**2
+        monkeypatch.setattr(padicroots.cli, "LIFT_WORK_BUDGET", work)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(padicroots.cli, "LIFT_WORK_BUDGET", work - 1)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {d} roots of 280 bits and {b}-bit powers are {work:.2e} "
+            f"bit^2 of lift work, more than the {work - 1:.0e} {cmd} takes\n"
+        )
+    # check lifts nothing, so the rule does not bound it
+    assert main(["check", "--p", "101", "--q", "10", "--val", "1"]) == 0
+
+
+def test_modulus_rule_is_isqrt_against_the_list_cap(capsys, monkeypatch):
+    # isqrt(113) = 10 is admitted and isqrt(127) = 11 refused, before the
+    # value is read and before any unit group is built
+    monkeypatch.setattr(padicroots.cli, "LIST_CAP", 10)
+    for argv, name in (
+        ("root --p {} --q 2 --val 4", "p"),
+        ("classify --p {} --q 3 --val 2", "p"),
+        ("congr pow-residue --a 2 --n 1 --m {}", "m"),
+    ):
+        assert main(argv.format(113).split()) == 0
+        capsys.readouterr()
+        assert main(argv.format(127).split()) == 2
+        cmd = argv.split()[0]
+        assert capsys.readouterr().err == (
+            f"error: {name} = 127 takes 11 baby steps, more than the 10 {cmd} takes\n"
+        )
+    # a modulus below 2 keeps the solver's own message
+    assert main("congr pow-residue --a 2 --n 1 --m=-200".split()) == 2
+    assert capsys.readouterr().err == "error: modulus must be at least 2\n"
+
+
+def test_admit_refuses_before_any_work(capsys, monkeypatch):
+    # every bound is checked before the command body runs: a body that
+    # would fail the test is never reached
+    def untouched(args):
+        raise AssertionError(f"{args.command} ran past its admission rule")
+
+    for cmd in padicroots.cli._DISPATCH:
+        monkeypatch.setitem(padicroots.cli._DISPATCH, cmd, untouched)
+    for argv in (
+        "check --p 5 --q 2 --val 1 --precision 10001",
+        "root --p 1000003 --q 166667 --val 1 --precision 40",
+        "root --p 1000000000000000003 --q 2 --val 4",
+        "classify --p 2147483647 --q 7 --val 5 --precision 10000",
+        f"table --p-max {TABLE_BOUND + 1}",
+        "congr linear --a 0 --b 0 --n 100000000000",
+        "congr pow-residue --a 2 --n 3 --m 1000000000000000003",
+        "congr pow-residue --a 1 --n 2000004 --m 1000003",
+        "expand --p 3 --q 3 --digits 1 --k 600",
+    ):
+        assert main(argv.split()) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_expand_at_a_huge_q(capsys):
+    # q * log10(base) is taken exactly, so a q past the float range neither
+    # overflows nor is admitted when its integers are large
+    q = str(10**400)
+    argv = ["expand", "--p", "3", "--q", q, "--k", "1", "--digits"]
+    code, out = run_cli(capsys, *argv, "1")
+    assert code == 0 and out.endswith("coefficient of p^1 = 0\n")
+    assert main(argv + ["1,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: integers up to 2^{q} (30102999566398")
+    assert err.endswith(" digits) exceed the 4300-digit limit\n")
+
+
+def test_readme_bounds_table_names_the_constants():
+    # every `NAME` = value in the table is the constant's value
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n### Bounds\n", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    assert rows[0] == "| Command | Rule | Constant | At the bound |"
+    found = re.findall(r"`(\w+)` = ([\d,]+)", "\n".join(rows))
+    constants = {
+        "PRECISION_CAP": PRECISION_CAP,
+        "ROOT_DIGIT_BUDGET": ROOT_DIGIT_BUDGET,
+        "LIFT_WORK_BUDGET": LIFT_WORK_BUDGET,
+        "LIST_CAP": LIST_CAP,
+        "TABLE_BOUND": TABLE_BOUND,
+        "_MR_PROVEN_BOUND": _MR_PROVEN_BOUND,
+    }
+    assert {name for name, _ in found} == set(constants)
+    for name, value in found:
+        assert int(value.replace(",", "")) == constants[name], name
+
+
 def test_expand_n2_terms(capsys):
     code, out = run_cli(
         capsys, "expand", "--p", "3", "--q", "3", "--digits", "1,1", "--k", "2"
@@ -680,6 +795,11 @@ def test_structured_expand_is_stdlib_json_of_dict_terms(p, q, k, digits):
             "N_600 has more than 1666 terms of 600 exponents each, more than "
             "the 1000000 expand lists",
         ),
+        (
+            "expand --p 3 --q 2 --digits 1 --k 1000000000",
+            "one term of N_1000000000 lists 1000000000 exponents, more than "
+            "the 1000000 expand lists",
+        ),
         ("table --p-max 2", "--p-max must be at least 3"),
         (
             "table --p-max 359 --format structured",
@@ -694,7 +814,8 @@ def test_structured_expand_is_stdlib_json_of_dict_terms(p, q, k, digits):
     ids=[
         "expand-p4", "expand-q0", "expand-k0", "expand-empty-digit",
         "expand-digit3-p3", "expand-huge-q", "expand-huge-digits",
-        "expand-terms-over-cap", "expand-exponents-over-cap", "table-pmax2",
+        "expand-terms-over-cap", "expand-exponents-over-cap",
+        "expand-one-term-over-cap", "table-pmax2",
         "table-structured-over-cap", "linear-no-b", "pow-residue-no-m",
         "linear-n0", "pow-residue-n0", "pow-residue-m1",
     ],
@@ -967,3 +1088,151 @@ def test_process_classify_with_many_roots_answers_quickly():
     assert done.returncode == 0
     assert "form: coprime_with_eta" in done.stdout
     assert "y: 0;981639,523728,136694,2" in done.stdout
+
+
+# Requests at the edges of the admission rules.  Before the rules the
+# refused ones ran for seconds, or past 25 s until killed; the admitted ones
+# answered in 0.1 to 1.7 s each on a shared 2-vCPU VM.
+REFUSED_ANCHORS = [
+    "classify --p 1000003 --q 166667 --val 5 --precision 100",
+    "classify --p 2147483647 --q 7 --val 5 --precision 10000",
+    "root --p 2147483647 --q 7 --val 2187 --precision 10000",
+    "congr pow-residue --a 2 --n 3 --m 100000000000031",
+    "root --p 1000000000000000003 --q 2 --val 4",
+    "congr pow-residue --a 2 --n 3 --m 1000000000000000003",
+    "check --p 3317044064679887385961981 --q 2 --val 3",
+]
+ADMITTED_ANCHORS = [
+    "classify --p 1000003 --q 166667 --val 5 --precision 4",
+    "classify --p 1000003 --q 166667 --val 5",
+    "root --p 2147483647 --q 2 --val 4 --precision 10000",
+    "root --p 1000003 --q 2 --val 4 --precision 10000",
+    "classify --p 1009 --q 3 --val 5 --precision 10000",
+    "classify --p 1000003 --q 3 --val 5 --precision 7000",
+    "root --p 1000000000039 --q 2 --val 4 --precision 7000",
+    "congr pow-residue --a 2 --n 3 --m 1000000000039",
+    "check --p 3317044064679887385961813 --q 3 --val 3/7 --precision 10000",
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_ANCHORS)
+def test_process_refused_anchor_exits_2_at_once(argv):
+    start = time.monotonic()
+    done = run_process(*argv.split(), timeout=5, preexec_fn=_cap_address_space)
+    elapsed = time.monotonic() - start
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert elapsed < 1, elapsed
+
+
+def test_process_admitted_anchors_answer():
+    # all at once, each in 1 GiB of address space
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "padicroots", *argv.split()],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=_cap_address_space,
+        )
+        for argv in ADMITTED_ANCHORS
+    ]
+    for argv, proc in zip(ADMITTED_ANCHORS, procs):
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, ""), argv
+        assert out
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every request exits 0 or 2
+
+
+FUZZ_PRIMES = [
+    0, 1, 4, 2, 5, 101, 1009, 10**6 + 3, 2**31 - 1, 10**12 + 39, 10**18 + 3,
+    3317044064679887385961813, 3317044064679887385961981,
+]
+
+
+def _join(ds):
+    return ",".join(map(str, ds))
+
+
+def _digit_list(draw, p):
+    """A digit list for p: in range (half the draws), out of range,
+    overlong or malformed."""
+    top = max(min(p, 1000) - 1, 0)
+    in_range = st.lists(st.integers(0, top), min_size=1, max_size=12).map(_join)
+    return draw(
+        in_range
+        | in_range
+        | st.lists(st.integers(-1, top + 2), max_size=12).map(_join)
+        | st.integers(1, 3000).map(lambda n: _join([1] * n))
+        | st.text(alphabet=" ,;/-+_x0123456789", max_size=12)
+    )
+
+
+@st.composite
+def fuzz_argv(draw):
+    cmd = draw(st.sampled_from(list(padicroots.cli._DISPATCH)))
+    # the listed values, and the primes a request can lift at more often
+    p = draw(st.sampled_from(FUZZ_PRIMES) | st.sampled_from([2, 5, 101, 1009, 1000003]))
+    q = draw(
+        st.integers(-1, 12)
+        | st.integers(2, 12)
+        | st.just(p)
+        | st.integers(1, 10**6).map(lambda m: m * p)  # multiples of p
+        | st.integers(0, 12_000).map(lambda e: 2**e)  # up to 3,613 digits
+    )
+    big = st.integers(-(10**40), 10**40)
+    if cmd in ("check", "root", "classify"):
+        gamma = st.integers(-40, 40) | st.sampled_from([-(10**4000), 10**4000])
+        val = draw(
+            st.tuples(big, big).map(lambda nd: f"{nd[0]}/{nd[1]}")
+            | big.map(str)
+            | gamma.map(lambda g: f"{g};" + _digit_list(draw, p))
+            | st.text(alphabet=" ,;/-0123456789x", max_size=12)
+        )
+        precision = draw(
+            st.integers(-2, 40)
+            | st.sampled_from([PRECISION_CAP - 1, PRECISION_CAP, PRECISION_CAP + 1])
+        )
+        argv = [cmd, f"--p={p}", f"--q={q}", f"--val={val}", f"--precision={precision}"]
+    elif cmd == "table":
+        p_max = draw(st.integers(-5, 400) | st.sampled_from([TABLE_BOUND + 1, 10**30]))
+        argv = [cmd, f"--p-max={p_max}"]
+    elif cmd == "congr":
+        big = st.integers(-(10**20), 10**20)
+        a, n = draw(big | st.integers(-3, 12)), draw(big | st.integers(-3, 12))
+        if draw(st.booleans()):
+            argv = [cmd, "linear", f"--a={a}", f"--n={n}"]
+            b = draw(st.none() | big | st.integers(-3, 12))
+            argv += [] if b is None else [f"--b={b}"]
+        else:
+            m = draw(
+                st.none()
+                | st.integers(-3, 200)
+                | st.sampled_from(FUZZ_PRIMES + [10**6 + 1, (10**6 + 1) ** 2])
+                | st.integers(10**12, 10**19)
+            )
+            argv = [cmd, "pow-residue", f"--a={a}", f"--n={n}"]
+            argv += [] if m is None else [f"--m={m}"]
+    else:
+        k = draw(st.integers(-1, 40) | st.integers(1, 40) | st.integers(0, 10**9))
+        digits = _digit_list(draw, p)
+        argv = [cmd, f"--p={p}", f"--q={q}", f"--digits={digits}", f"--k={k}"]
+    if draw(st.booleans()):
+        argv += ["--format", "structured"]
+    return argv
+
+
+@seed(19)
+@settings(max_examples=100, deadline=timedelta(seconds=5), database=None)
+@given(fuzz_argv())
+def test_fuzzed_argv_exits_0_or_2(argv):
+    # argparse refusals raise SystemExit(2); any other exception, exit 1
+    # or exit 3 fails the test, and so does a draw past the deadline
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 2), (argv, err.getvalue())

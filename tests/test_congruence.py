@@ -307,6 +307,19 @@ def test_is_prime_small():
         assert is_prime(n) == (n in expected)
 
 
+def test_is_prime_refuses_past_its_proven_bound():
+    # the least strong pseudoprime to the bases 2..41 is the bound itself;
+    # trial division from there up to sqrt(n) once ran without end
+    bound = congruence._MR_PROVEN_BOUND
+    assert bound == 3317044064679887385961981
+    for n in (bound, bound + 2, 10**30):
+        with pytest.raises(ValueError, match=r"only below 3\.317\*10\^24, got "):
+            is_prime(n)
+    assert is_prime(bound - 168)  # the prime 3317044064679887385961813
+    with pytest.raises(ValueError, match=r"only below 3\.317\*10\^24"):
+        is_qth_residue(1, 3, bound)
+
+
 def test_congruence_solution_shape():
     sol = CongruenceSolution(representatives=(1, 5), modulus=6)
     assert sol.count == 2 and sol.solvable

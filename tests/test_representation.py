@@ -129,6 +129,17 @@ def test_epsilon_set_is_refused_above_the_table_bound(monkeypatch):
     assert len(epsilon_set(97)) == 1 + 96**2
 
 
+def test_epsilon_set_is_refused_over_the_list_cap(monkeypatch):
+    # 1 + (p-1)^2 entries, refused before any is built: 1 + 1008^2 at 1009
+    message = r"^epsilon_set\(1009\) has 1016065 entries, more than 1000000$"
+    with pytest.raises(ValueError, match=message):
+        epsilon_set(1009)
+    monkeypatch.setattr(padicroots.representation, "LIST_CAP", 1 + 96**2)
+    assert len(epsilon_set(97)) == 1 + 96**2
+    with pytest.raises(ValueError, match="more than 9217$"):
+        epsilon_set(101)
+
+
 def test_derived_epsilon_sets():
     assert derived_epsilon_set(3) == (1, 4, 5)
     assert derived_epsilon_set(5) == (1, 11, 12, 13, 14)
