@@ -27,7 +27,7 @@ from .congruence import (
     power_residue_solve,
     solve_linear,
 )
-from .padic_core import PAdic, _require_prime, parse_value
+from .padic_core import PAdic, _check_digits, _require_prime, parse_value
 from .roots import LiftContradictionError, decide, root_count, solve
 
 PRECISION_CAP = 10_000
@@ -125,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--k", type=int, required=True)
 
     for sp in sub.choices.values():
+        sp.allow_abbrev = False  # --prec is not --precision
         sp.add_argument(
             "--format",
             choices=("plain", "structured"),
@@ -268,9 +269,7 @@ def _admit(args) -> None:
             digits = [int(x) for x in args.digits.split(",")]
         except ValueError:
             raise ValueError(f"malformed digit list {args.digits!r}") from None
-        for d in digits:
-            if not 0 <= d < args.p:
-                raise ValueError(f"digit {d} out of range for p={args.p}")
+        _check_digits(digits, args.p)
         # every integer printed (terms, N_k, lead, coefficients summing to k^q)
         # is at most base^q, of q * log10(base) digits: an exact product, as q
         # may be past the float range
@@ -315,6 +314,14 @@ def _parse_equation(args) -> PAdic:
     return a
 
 
+def _equation_payload(args, value: str, **rest) -> dict:
+    """The structured output of check, root and classify: the equation and
+    its parsed value, then rest in order."""
+    return dict(
+        command=args.command, p=args.p, q=args.q, input=args.val, value=value, **rest
+    )
+
+
 def _verdict_report(args, a: PAdic, verdict) -> tuple[list[str], dict]:
     """The plain lines and the payload head that check and root share."""
     value = str(a)
@@ -328,16 +335,9 @@ def _verdict_report(args, a: PAdic, verdict) -> tuple[list[str], dict]:
         lines.append(f"failed: {verdict.failed_condition}")
     if verdict.details:
         lines.append(f"details: {verdict.details}")
-    payload = {
-        "command": args.command,
-        "p": args.p,
-        "q": args.q,
-        "input": args.val,
-        "value": value,
-        "precision": args.precision,
-        "verdict": verdict._asdict(),
-    }
-    return lines, payload
+    return lines, _equation_payload(
+        args, value, precision=args.precision, verdict=verdict._asdict()
+    )
 
 
 def cmd_check(args) -> str:
@@ -397,22 +397,19 @@ def cmd_classify(args) -> str:
         f"check: epsilon * {args.p}^{dec.delta_exponent} * y^{args.q} "
         f"= value (mod {args.p}^{check_k}): ok"
     )
-    payload = {
-        "command": "classify",
-        "p": args.p,
-        "q": args.q,
-        "input": args.val,
-        "value": value,
-        "form": dec.form,
-        "epsilon": epsilon,
-        "epsilon_int": dec.epsilon_int,
-        "delta_exponent": dec.delta_exponent,
-        "y": y,
-        "eta": eta,
-        "eta_exponent": dec.eta_exponent,
-        "check_modulus": f"{args.p}^{check_k}",
-        "check_ok": True,
-    }
+    payload = _equation_payload(
+        args,
+        value,
+        form=dec.form,
+        epsilon=epsilon,
+        epsilon_int=dec.epsilon_int,
+        delta_exponent=dec.delta_exponent,
+        y=y,
+        eta=eta,
+        eta_exponent=dec.eta_exponent,
+        check_modulus=f"{args.p}^{check_k}",
+        check_ok=True,
+    )
     return _emit(args, lines, payload)
 
 
@@ -424,11 +421,6 @@ def cmd_table(args) -> str:
         return "\n".join(
             f"p={p}: " + ", ".join(map(str, js)) for p, js in table.items()
         )
-    entries = sum(1 + len(js) * (p - 1) for p, js in table.items())
-    if entries > LIST_CAP:
-        raise ValueError(
-            f"{entries} epsilon entries, more than the {LIST_CAP} table lists"
-        )
     rows = [
         {
             "p": p,
@@ -437,6 +429,11 @@ def cmd_table(args) -> str:
         }
         for p, js in table.items()
     ]
+    entries = sum(len(run) for row in rows for run in row["epsilon_derived"])
+    if entries > LIST_CAP:
+        raise ValueError(
+            f"{entries} epsilon entries, more than the {LIST_CAP} table lists"
+        )
     return _json({"command": "table", "p_max": args.p_max, "rows": rows})
 
 

@@ -17,6 +17,7 @@ import math
 from collections import Counter, OrderedDict, namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 # baby-step entries kept in all by `_unit_group` (a record without a table
 # counts as one); about 100 bytes each
@@ -53,7 +54,9 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _TRIAL_BOUND = 1 << 20
 
 
-@lru_cache(maxsize=None)
+# bounded, so that a process asking about many n does not keep them all;
+# 2^14 holds every n the largest table (p_max = 10^4) asks about
+@lru_cache(maxsize=1 << 14)
 def is_prime(n: int) -> bool:
     """Whether n > 1 is prime: below _TRIAL_BOUND by whether n is its own
     least prime factor, then below _MR_PROVEN_BOUND by the deterministic
@@ -193,6 +196,17 @@ def find_primitive_root(m: int) -> int | None:
     return None if group is None else group.g
 
 
+def _least_solution(a: int, b: int, n: int) -> int | None:
+    """The least x >= 0 with a*x = b (mod n) for n >= 1, or None when
+    g = gcd(a, n) does not divide b.  The g solutions mod n are then
+    x + t*n/g for t < g."""
+    g = math.gcd(a, n)
+    if b % g != 0:
+        return None
+    n1 = n // g
+    return b // g * pow(a // g, -1, n1) % n1
+
+
 class IndexValue(namedtuple("IndexValue", "base_r value modulus_phi")):
     """Discrete logarithm of a to the base of a primitive root r mod m."""
 
@@ -216,8 +230,7 @@ def index(r: int, a: int, m: int) -> IndexValue:
         or math.gcd(log_r := group.log(r), group.phi) != 1
     ):
         raise ValueError(f"{r} is not a primitive root mod {m}")
-    x = group.log(a) * pow(log_r, -1, group.phi) % group.phi
-    return IndexValue(r, x, group.phi)
+    return IndexValue(r, _least_solution(log_r, group.log(a), group.phi), group.phi)
 
 
 class CongruenceSolution(namedtuple("CongruenceSolution", "representatives modulus")):
@@ -244,17 +257,10 @@ def solve_linear(a: int, b: int, n: int) -> CongruenceSolution:
     if n == 0:
         raise ValueError("modulus must be nonzero")
     n = abs(n)
-    a %= n
-    b %= n
-    g = math.gcd(a, n)
-    if b % g != 0:
+    x = _least_solution(a, b, n)
+    if x is None:
         return CongruenceSolution((), n)
-    if a == 0:
-        # every residue solves 0 = 0
-        return CongruenceSolution(tuple(range(n)), n)
-    n1 = n // g
-    x0 = (b // g) * pow(a // g, -1, n1) % n1
-    return CongruenceSolution(tuple(x0 + t * n1 for t in range(g)), n)
+    return CongruenceSolution(tuple(range(x, n, n // math.gcd(a, n))), n)
 
 
 def _root_exponent(n: int, a: int, m: int) -> tuple[_UnitGroup, int | None]:
@@ -269,12 +275,7 @@ def _root_exponent(n: int, a: int, m: int) -> tuple[_UnitGroup, int | None]:
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit mod {m}")
-    t = group.log(a)
-    d = math.gcd(n, group.phi)
-    if t % d != 0:
-        return group, None
-    step = group.phi // d
-    return group, t // d * pow(n // d, -1, step) % step
+    return group, _least_solution(n, group.log(a), group.phi)
 
 
 def power_residue_root(n: int, a: int, m: int) -> int | None:
@@ -283,6 +284,11 @@ def power_residue_root(n: int, a: int, m: int) -> int | None:
     _root_exponent.  One discrete log and one modular power."""
     group, s = _root_exponent(n, a, m)
     return None if s is None else pow(group.g, s, m)
+
+
+def _coset(x: int, h: int, d: int, m: int) -> Iterator[int]:
+    """x * h**i (mod m) for i < d, in that order, one product each."""
+    return accumulate(repeat(h, d - 1), lambda r, z: r * z % m, initial=x)
 
 
 def power_residue_solve(n: int, a: int, m: int) -> CongruenceSolution:
@@ -298,12 +304,7 @@ def power_residue_solve(n: int, a: int, m: int) -> CongruenceSolution:
         return CongruenceSolution((), m)
     d = math.gcd(n, group.phi)
     h = pow(group.g, group.phi // d, m)
-    x = pow(group.g, s, m)
-    sols = []
-    for _ in range(d):
-        sols.append(x)
-        x = x * h % m
-    return CongruenceSolution(tuple(sorted(sols)), m)
+    return CongruenceSolution(tuple(sorted(_coset(pow(group.g, s, m), h, d, m))), m)
 
 
 def is_qth_residue(a0: int, q: int, p: int) -> bool:

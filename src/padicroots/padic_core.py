@@ -112,20 +112,15 @@ def _digit_text(x: int, p: int, k: int) -> str:
 _CHUNK = sys.int_info.str_digits_check_threshold
 
 
-def _read_numeral(s: str, p: int) -> int:
-    """The value of s, base-p digits most significant first, read _CHUNK
-    digits at a time."""
-    head = len(s) % _CHUNK or _CHUNK
-    value = int(s[:head], p)
-    step = p**_CHUNK
-    for i in range(head, len(s), _CHUNK):
-        value = value * step + int(s[i : i + _CHUNK], p)
-    return value
-
-
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+
+
+def _check_digits(digits, p: int) -> None:
+    for d in digits:
+        if not 0 <= d < p:
+            raise ValueError(f"digit {d} out of range for p={p}")
 
 
 class PAdic:
@@ -411,9 +406,10 @@ def parse_value(text: str, p: int, precision: int) -> PAdic:
     separated by one comma, is one base-p numeral written backwards: its
     shape is tested with slices and str.strip, and int(s, p) reads the
     reversed digits in chunks of _CHUNK, within any int() digit
-    limit.  Every other digit list (spaces, signs, underscores, non-ASCII
-    digits, empty entries, p > 10) is read entry by entry, and that loop
-    raises every error a digit list can raise.
+    limit, which _from_digits joins as digits base p**_CHUNK.  Every other
+    digit list (spaces, signs, underscores, non-ASCII digits, empty
+    entries, p > 10) is read entry by entry, and that loop raises every
+    error a digit list can raise.
     """
     t = text.strip()
     if ";" in t:
@@ -429,18 +425,17 @@ def parse_value(text: str, p: int, precision: int) -> PAdic:
             digs = () if numeral else [int(x) for x in tail.split(",")]
         except ValueError:
             raise ValueError(f"malformed digit literal {text!r}") from None
-        for d in digs:
-            if not 0 <= d < p:
-                raise ValueError(f"digit {d} out of range for p={p}")
+        _check_digits(digs, p)
         if (tail[0] == "0") if numeral else (digs[0] == 0):
             raise ValueError("first digit must be nonzero (canonical form)")
         # the numeral's digits sit at the even places, d0 first: read
         # backwards they are d_(k-1) ... d1 d0.  d0 != 0 makes the digit
         # sum a unit, so gamma is the valuation.
         if numeral:
-            unit = _read_numeral(tail[::-2], p)
-        else:
-            unit = _from_digits(digs, p, {})
+            s = tail[::-2]
+            ends = range(len(s), 0, -_CHUNK)  # the low chunk first
+            digs = [int(s[max(i - _CHUNK, 0) : i], p) for i in ends]
+        unit = _from_digits(digs, p**_CHUNK if numeral else p, {})
         return PAdic.from_unit(p, gamma, unit, precision)
     num, slash, den = t.partition("/")
     try:

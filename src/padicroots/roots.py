@@ -45,9 +45,9 @@ internal error raised as LiftContradictionError (never swallowed).
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import accumulate, repeat
 
 from .congruence import (
+    _coset,
     find_primitive_root,
     int_valuation,
     is_qth_residue,
@@ -313,8 +313,7 @@ def _unit_roots(a: PAdic, q: int, n_digits: int) -> tuple[Iterator[int], int, in
             )
     else:
         zeta = mod - 1
-    units = accumulate(repeat(zeta, d - 1), lambda r, z: r * z % mod, initial=x)
-    return units, c, d
+    return _coset(x, zeta, d, mod), c, d
 
 
 def _checked(a: PAdic, q: int, n_digits: int, units, c: int, d: int) -> RootSet:

@@ -30,6 +30,7 @@ import bruteforce as bf
 import padicroots.cli
 import padicroots.representation
 import padicroots.roots
+from anchors import ADMITTED_ANCHORS, REFUSED_ANCHORS
 from padicroots.cli import (
     LIFT_WORK_BUDGET,
     LIST_CAP,
@@ -946,9 +947,15 @@ def test_error_square_digits_share_the_chain_message(capsys):
 
 
 def test_error_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    # and an option given by a prefix of its name
+    for argv in (
+        "frobnicate",
+        "check --p 5 --q 3 --val 2 --prec 3",
+        "check --p 5 --q 3 --val 2 --form structured",
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2, argv
 
 
 # ---------------------------------------------------------------------------
@@ -1088,31 +1095,6 @@ def test_process_classify_with_many_roots_answers_quickly():
     assert done.returncode == 0
     assert "form: coprime_with_eta" in done.stdout
     assert "y: 0;981639,523728,136694,2" in done.stdout
-
-
-# Requests at the edges of the admission rules.  Before the rules the
-# refused ones ran for seconds, or past 25 s until killed; the admitted ones
-# answered in 0.1 to 1.7 s each on a shared 2-vCPU VM.
-REFUSED_ANCHORS = [
-    "classify --p 1000003 --q 166667 --val 5 --precision 100",
-    "classify --p 2147483647 --q 7 --val 5 --precision 10000",
-    "root --p 2147483647 --q 7 --val 2187 --precision 10000",
-    "congr pow-residue --a 2 --n 3 --m 100000000000031",
-    "root --p 1000000000000000003 --q 2 --val 4",
-    "congr pow-residue --a 2 --n 3 --m 1000000000000000003",
-    "check --p 3317044064679887385961981 --q 2 --val 3",
-]
-ADMITTED_ANCHORS = [
-    "classify --p 1000003 --q 166667 --val 5 --precision 4",
-    "classify --p 1000003 --q 166667 --val 5",
-    "root --p 2147483647 --q 2 --val 4 --precision 10000",
-    "root --p 1000003 --q 2 --val 4 --precision 10000",
-    "classify --p 1009 --q 3 --val 5 --precision 10000",
-    "classify --p 1000003 --q 3 --val 5 --precision 7000",
-    "root --p 1000000000039 --q 2 --val 4 --precision 7000",
-    "congr pow-residue --a 2 --n 3 --m 1000000000039",
-    "check --p 3317044064679887385961813 --q 3 --val 3/7 --precision 10000",
-]
 
 
 @pytest.mark.parametrize("argv", REFUSED_ANCHORS)

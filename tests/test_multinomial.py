@@ -308,7 +308,8 @@ def test_ntilde_independent_of_last_digit():
     for p in (3, 5):
         for k in (1, 2):
             base = tuple(((i * 3) % (p - 1)) + 1 for i in range(p * k - 1))
-            seen = {
+            # base itself stops at position p*k - 2
+            seen = {ntilde_pk(p, base, k)} | {
                 ntilde_pk(p, base[: p * k - 1] + (d,), k) for d in range(p)
             }
             assert len(seen) == 1

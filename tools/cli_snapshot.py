@@ -31,11 +31,12 @@ bytes.  The requests are:
   table under the list bound, and `table --p-max 359 --format
   structured`, the least table over it (1,000,487 epsilon entries);
 * plain `table --p-max 2000`, the rows of every odd prime below 2000;
-* ADMITTED, plain requests near the command line's bounds that answer in
-  under a second each: lifts at p up to 2^31 - 1 and 10^4 digits, classify
-  with 166,667 roots of unity, a pow-residue modulus near 10^12, and check
-  at a 25-digit prime.  The requests those bounds refuse are left out:
-  before the bounds, some of them ran for minutes.
+* ADMITTED_ANCHORS (tests/anchors.py), plain requests near the command
+  line's bounds that answer in under two seconds each: lifts at p up to
+  10^12 + 39 and 10^4 digits, classify with 166,667 roots of unity, a
+  pow-residue modulus near 10^12, and check at a 25-digit prime.  The
+  requests those bounds refuse are left out: before the bounds, some of
+  them ran for minutes.
 
 --src picks the directory padicroots is imported from (default: this
 checkout's src), so one checkout's requests can run against another's
@@ -55,16 +56,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 6)
 CLASSIFY_PRIMES = (2, 3, 5, 7, 11, 13, 31, 101)
 CLASSIFY_VALUES = ("1", "2", "15", "-7/9", "2;1,0,2", "-1;1,1")
-ADMITTED = (
-    "classify --p 1000003 --q 166667 --val 5 --precision 4",
-    "classify --p 1000003 --q 166667 --val 5",
-    "root --p 2147483647 --q 2 --val 4 --precision 10000",
-    "root --p 1000003 --q 2 --val 4 --precision 10000",
-    "classify --p 1009 --q 3 --val 5 --precision 10000",
-    "classify --p 1000003 --q 3 --val 5 --precision 7000",
-    "congr pow-residue --a 2 --n 3 --m 1000000000039",
-    "check --p 3317044064679887385961813 --q 3 --val 3/7 --precision 10000",
-)
 
 
 def both_forms(argv: list[str]) -> list[list[str]]:
@@ -77,7 +68,8 @@ def both_forms(argv: list[str]) -> list[list[str]]:
 
 
 def requests() -> list[list[str]]:
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+    from anchors import ADMITTED_ANCHORS
     from workloads import WORKLOADS
 
     out = []
@@ -111,7 +103,7 @@ def requests() -> list[list[str]]:
     for p_max in (150, 358, 359):
         out.append(["table", "--p-max", str(p_max), "--format", "structured"])
     out.append(["table", "--p-max", "2000"])
-    out += [line.split() for line in ADMITTED]
+    out += [line.split() for line in ADMITTED_ANCHORS]
     return out
 
 
