@@ -16,6 +16,7 @@ disagree, which indicates a bug rather than bad input.
 import argparse
 import math
 import sys
+from functools import lru_cache
 
 # the C string escaper json.encoder re-exports, without loading json
 from _json import encode_basestring_ascii as _quote
@@ -143,6 +144,50 @@ class _Runs(tuple):
     concatenation is the list."""
 
 
+# A run's ints from 1000 up are written from block text: n = 1000*P + r is
+# str(P) then r in three digits, so the ints of block P, each followed by
+# the separator, are one template with str(P) put in for every "@".  Table
+# rows revisit the blocks below p_max^2 < 10^8, so the blocks of P below
+# _CACHED_BLOCK are kept: at most 256, of 1000 * (8 + len(sep)) characters
+# each (18 KB at a table row's depth).
+_CACHED_BLOCK = 10**5
+
+
+@lru_cache(maxsize=8)
+def _run_template(sep: str) -> str:
+    return "".join([f"@{r:03d}{sep}" for r in range(1000)])
+
+
+@lru_cache(maxsize=256)
+def _run_block(sep: str, block: int) -> str:
+    """The ints 1000*block .. 1000*block + 999, block >= 1, each followed
+    by sep."""
+    return _run_template(sep).replace("@", str(block))
+
+
+def _runs_text(runs, sep: str) -> str:
+    """The ints of the runs joined by sep: those below 1000 by one format
+    per run, the rest one slice of block text per block a run touches."""
+    parts = []
+    for r in runs:
+        a, b = r.start, r.stop
+        if a < (top := min(b, 1000)):
+            small = range(a, top)
+            parts.append((sep.join(["%d"] * len(small)) + sep) % tuple(small))
+            a = 1000
+        while a < b:
+            block, lo = divmod(a, 1000)
+            hi = min(b - 1000 * block, 1000)
+            kept = block < _CACHED_BLOCK
+            text = (_run_block if kept else _run_block.__wrapped__)(sep, block)
+            width = len(text) // 1000
+            parts.append(text[lo * width : hi * width])
+            a += hi - lo
+    if parts:
+        parts[-1] = parts[-1][: -len(sep)]
+    return "".join(parts)
+
+
 class _Terms(tuple):
     """A list of N_k terms held as (exponents, coefficient, value) triples
     of plain ints, every exponents tuple of the same length k; written as
@@ -153,8 +198,8 @@ def _json(x, indent: str = "\n") -> str:
     """x as JSON, byte for byte as json.dumps(x, indent=2) writes it, for
     the types the commands emit: dict with str keys, list, _Runs, _Terms,
     str, int, bool and None.  Strings go through the stdlib's C escaper, and
-    a list of plain ints (no bools), each run of a _Runs, or each term of a
-    _Terms, is written by one format."""
+    a list of plain ints (no bools) or each term of a _Terms is written by
+    one format, and a _Runs from block text (_runs_text)."""
     t = type(x)
     if t is str:
         return _quote(x)
@@ -175,7 +220,7 @@ def _json(x, indent: str = "\n") -> str:
             body = sep.join([_json(v, inner) for v in x])
         return f"[{inner}{body}{indent}]"
     if t is _Runs:
-        body = sep.join([sep.join(["%d"] * len(r)) % tuple(r) for r in x if r])
+        body = _runs_text(x, sep)
         return f"[{inner}{body}{indent}]" if body else "[]"
     if t is _Terms:
         if not x:

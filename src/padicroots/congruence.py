@@ -314,7 +314,7 @@ def is_qth_residue(a0: int, q: int, p: int) -> bool:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not 1 <= a0 <= p - 1:
-        raise ValueError(f"digit {a0} out of range for p={p}")
+        raise ValueError(f"digit {a0} is not a unit in [1, {p - 1}] for p={p}")
     if q < 1:
         raise ValueError("exponent must be at least 1")
     return pow(a0, (p - 1) // math.gcd(q, p - 1), p) == 1

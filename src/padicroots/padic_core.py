@@ -88,8 +88,10 @@ def _digit_text(x: int, p: int, k: int) -> str:
     commas: at p = 2 the binary text of x padded to k digits and reversed;
     e digits per block of base p**e for 2 < p <= _BLOCK, the last partial
     block and every digit of a larger p one at a time."""
-    if p == 2:
-        return ",".join(format(x, "b").zfill(k)[::-1])
+    if p == 2:  # the digits in the even places of a string of commas
+        text = bytearray(b",") * (2 * k - 1)
+        text[::2] = format(x, "b").zfill(k)[::-1].encode()
+        return text.decode()
     if p > _BLOCK:
         out: list = []
         _to_digits(x, p, k, out, {})

@@ -258,13 +258,28 @@ def test_structured_output_is_stdlib_json(capsys, argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("length", [0, 1, 2, 999, 1000, 1001, 2500])
+@pytest.mark.parametrize(
+    "start", [-3, 0, 998, 999, 1000, 9_998, 99_999, 10**6 - 2, 10**30]
+)
+def test_json_runs_across_blocks(start, length):
+    # a run written from block text: below 1000, into a block, over one or
+    # two block edges, into more digits, and past the kept blocks
+    runs = _Runs([range(start, start + length)])
+    assert _json(runs) == json.dumps(list(chain(*runs)), indent=2)
+    nested = {"rows": [{"runs": runs}, runs]}
+    flat = list(chain(*runs))
+    assert _json(nested) == json.dumps({"rows": [{"runs": flat}, flat]}, indent=2)
+
+
 _json_leaves = st.none() | st.booleans() | st.integers(-(10**40), 10**40) | st.text()
-# runs of consecutive ints, empty ones among them
+# runs of consecutive ints, empty ones among them, and some that span a
+# block of 1000 or more
 _json_runs = st.lists(
     st.builds(
         lambda start, n: range(start, start + n),
-        st.integers(-(10**30), 10**30),
-        st.integers(0, 6),
+        st.integers(-(10**30), 10**30) | st.integers(-1500, 10**6),
+        st.integers(0, 6) | st.integers(0, 2500),
     ),
     max_size=5,
 ).map(_Runs)

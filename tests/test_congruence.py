@@ -285,7 +285,7 @@ def test_is_qth_residue_pinned():
     assert not is_qth_residue(2, 3, 7)
     assert is_qth_residue(1, 9, 11)
     assert is_qth_residue(1, 4, 2)  # only unit mod 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^digit 0 is not a unit in \[1, 4\] for p=5$"):
         is_qth_residue(0, 3, 5)
 
 
