@@ -266,9 +266,9 @@ def test_json_runs_across_blocks(start, length):
     # a run written from block text: below 1000, into a block, over one or
     # two block edges, into more digits, and past the kept blocks
     runs = _Runs([range(start, start + length)])
-    assert _json(runs) == json.dumps(list(chain(*runs)), indent=2)
-    nested = {"rows": [{"runs": runs}, runs]}
     flat = list(chain(*runs))
+    assert _json(runs) == json.dumps(flat, indent=2)
+    nested = {"rows": [{"runs": runs}, runs]}
     assert _json(nested) == json.dumps({"rows": [{"runs": flat}, flat]}, indent=2)
 
 
