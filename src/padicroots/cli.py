@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"solution. A congruence that may have more than {LIST_CAP} "
         "solutions exits 2: linear when gcd(a, n) divides b and exceeds the "
         "bound, pow-residue when gcd(n, phi(m)) does, or when isqrt(m), the "
-        f"baby steps of its unit group, is above {LIST_CAP}.",
+        f"largest trial divisor that factors m, is above {LIST_CAP}.",
     )
     congr.add_argument("which", choices=("linear", "pow-residue"))
     congr.add_argument("--a", type=int, required=True)
@@ -342,10 +342,11 @@ def _admit(args) -> None:
 
 
 def _admit_steps(name: str, n: int, cmd: str) -> None:
-    """Refuse a modulus n whose unit group takes more than LIST_CAP baby
-    steps and trial divisors, isqrt(n) each."""
+    """Refuse a modulus n whose unit group needs trial divisors past
+    LIST_CAP: factoring n, and for a prime n also n - 1, tries them up to
+    isqrt(n)."""
     if n > 0 and math.isqrt(n) > LIST_CAP:
-        steps = f"{name} = {n} takes {math.isqrt(n)} baby steps"
+        steps = f"{name} = {n} takes trial divisors up to {math.isqrt(n)}"
         raise ValueError(f"{steps}, more than the {LIST_CAP} {cmd} takes")
 
 

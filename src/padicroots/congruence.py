@@ -2,15 +2,19 @@
 linear congruences and n-th power residues on cyclic unit groups.
 
 The unit group mod m is worked out once per modulus. `_unit_group(m)`
-factors m, finds phi(m) and the smallest generator g, and builds g's
-baby-step table for baby-step giant-step discrete logs;
-`find_primitive_root`, `index`, `power_residue_root` and
-`power_residue_solve` all read that one record. The records are cached,
-least recently used first out, up to a total of _UNIT_GROUP_TABLE_ENTRIES
-baby-step entries: a table has isqrt(phi(m)) + 1 entries, about 100 MiB
-near m = 10^12, so a cache bounded by record count alone could hold
-gigabytes. A record whose table alone is over the bound is built for its
-call and not kept.
+factors m, finds phi(m) and the smallest generator g, and splits the
+group into its Sylow parts, one per prime power ell^e of phi(m), each
+with a baby-step table of isqrt(ell) + 1 entries for the Pohlig-Hellman
+discrete log (one table of isqrt(phi) + 1 entries when isqrt(phi) is at
+most _SPLIT_BOUND); `find_primitive_root`, `index`, `power_residue_root`
+and `power_residue_solve` all read that one record. The records are
+cached, least recently used first out, up to a total of
+_UNIT_GROUP_TABLE_ENTRIES baby-step entries: at m = 10^12 + 39 the parts
+hold 5,119 entries, but a safe prime m = 2*ell + 1 near 10^12 needs about
+7 * 10^5, some 70 MiB, so a cache bounded by record count alone could
+hold gigabytes. A record whose tables alone are over the bound is built
+for its call and not kept. Factoring m and phi(m) by trial division is
+what the command line's isqrt(m) <= LIST_CAP bound pays for.
 """
 
 import math
@@ -22,6 +26,9 @@ from itertools import accumulate, repeat
 # baby-step entries kept in all by `_unit_group` (a record without a table
 # counts as one); about 100 bytes each
 _UNIT_GROUP_TABLE_ENTRIES = 1 << 17
+# a unit group with isqrt(phi) above this takes its logs one prime factor of
+# phi at a time; at and below it one walk of isqrt(phi) + 1 steps is faster
+_SPLIT_BOUND = 128
 # the most integers a command-line request or epsilon_set lists or steps through
 LIST_CAP = 10**6
 
@@ -114,23 +121,37 @@ def euler_phi(n: int) -> int:
     return _phi(factorize(n))
 
 
-class _UnitGroup(namedtuple("_UnitGroup", "m phi g step baby giant")):
-    """The cyclic unit group mod m: its order phi, its smallest generator g,
-    the baby steps {g^j: j} for j < step (a dict) and the giant step
-    g^-step."""
+class _UnitGroup(namedtuple("_UnitGroup", "m phi g digits")):
+    """The cyclic unit group mod m: its order phi, its smallest generator g
+    and the digits its logs are read in (Pohlig-Hellman).  Each prime power
+    ell^e of phi is a part, whose e digits, the least first, give log_g(a)
+    mod ell^e in base ell; CRT joins the parts.  A digit is a tuple (ell,
+    top, weight, step, baby, giant).  With x the log read so far,
+    (a * g^-x)^top = gamma^d for the digit d and gamma = g^(phi/ell), as
+    the other parts add only multiples of ell^e to x.  A walk finds d in
+    the subgroup of order ell from the baby steps {gamma^j: j} for j <
+    step (a dict) and the giant step gamma^-step, and x gains d * weight.
+    The e digits of a part share its table.  A group with isqrt(phi) at
+    most _SPLIT_BOUND is one part, ell^e = phi^1, whose one digit is a
+    walk of isqrt(phi) + 1 giant steps at most."""
 
     __slots__ = ()
 
     def log(self, a: int) -> int:
         """The x in [0, phi) with g^x = a, for a unit a in [0, m)."""
-        m, phi, _, step, baby, giant = self  # locals: the loop reads them often
-        cur = a
-        for i in range(step + 1):
-            j = baby.get(cur)
-            if j is not None:
-                return (i * step + j) % phi
-            cur = cur * giant % m
-        raise ValueError("index search exhausted the group")
+        m, phi, g, digits = self  # locals: the loop reads them often
+        x = 0
+        for ell, top, weight, step, baby, giant in digits:
+            cur = pow(a * pow(g, phi - x, m) % m if x else a, top, m)
+            for i in range(step + 1):
+                j = baby.get(cur)
+                if j is not None:
+                    break
+                cur = cur * giant % m
+            else:
+                raise ValueError("index search exhausted the group")
+            x = (x + (i * step + j) % ell * weight) % phi
+        return x
 
 
 class _GroupCache:
@@ -147,7 +168,8 @@ class _GroupCache:
             self.records.move_to_end(m)
             return self.records[m][0]
         group = _build_unit_group(m)
-        size = group.step if group is not None else 1
+        # the digits of one part share its table: count each table once
+        size = 1 if group is None else sum({d[0]: d[3] for d in group.digits}.values())
         if size <= _UNIT_GROUP_TABLE_ENTRIES:
             while self.entries + size > _UNIT_GROUP_TABLE_ENTRIES:
                 _, (_, old) = self.records.popitem(last=False)
@@ -172,19 +194,35 @@ def _build_unit_group(m: int) -> _UnitGroup | None:
     if m not in (2, 4) and (len(odd) != 1 or fac.get(2, 0) > 1):
         return None
     phi = _phi(fac)
-    checks = [phi // f for f in factorize(phi)]
+    ells = factorize(phi)
     g = next(
         r
         for r in range(1, m)
-        if math.gcd(r, m) == 1 and all(pow(r, e, m) != 1 for e in checks)
+        if math.gcd(r, m) == 1 and all(pow(r, phi // f, m) != 1 for f in ells)
     )
-    step = math.isqrt(phi) + 1
+    if math.isqrt(phi) <= _SPLIT_BOUND:
+        ells = {phi: 1}
+    digits = tuple(d for f, e in ells.items() for d in _part(m, phi, g, f, e))
+    return _UnitGroup(m, phi, g, digits)
+
+
+def _part(m: int, phi: int, g: int, ell: int, e: int) -> list[tuple]:
+    """The e digits of the part ell^e of the unit group mod m, generated by
+    g, as _UnitGroup lays them out."""
+    cofactor = phi // ell**e
+    gamma = pow(g, phi // ell, m)
+    step = math.isqrt(ell) + 1
     baby: dict[int, int] = {}
     cur = 1
     for j in range(step):
         baby.setdefault(cur, j)
-        cur = cur * g % m
-    return _UnitGroup(m, phi, g, step, baby, pow(g, -step, m))
+        cur = cur * gamma % m
+    giant = pow(gamma, -step, m)
+    crt = cofactor * pow(cofactor, -1, ell**e)  # 1 mod ell^e, 0 mod phi/ell^e
+    return [
+        (ell, cofactor * ell ** (e - 1 - k), ell**k * crt % phi, step, baby, giant)
+        for k in range(e)
+    ]
 
 
 def find_primitive_root(m: int) -> int | None:

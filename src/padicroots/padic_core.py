@@ -406,8 +406,9 @@ def parse_value(text: str, p: int, precision: int) -> PAdic:
 
     For p <= 10, a digit list of single ASCII digits below p, each
     separated by one comma, is one base-p numeral written backwards: its
-    shape is tested with slices and str.strip, and int(s, p) reads the
-    reversed digits in chunks of _CHUNK, within any int() digit
+    shape is tested by comparing the odd places with a string of commas and
+    deleting the digits below p from the even places' bytes, and int(s, p)
+    reads the reversed digits in chunks of _CHUNK, within any int() digit
     limit, which _from_digits joins as digits base p**_CHUNK.  Every other
     digit list (spaces, signs, underscores, non-ASCII digits, empty
     entries, p > 10) is read entry by entry, and that loop raises every
@@ -416,11 +417,13 @@ def parse_value(text: str, p: int, precision: int) -> PAdic:
     t = text.strip()
     if ";" in t:
         head, _, tail = t.partition(";")
+        evens = tail[::2]
         numeral = (
             2 <= p <= 10
             and len(tail) % 2 == 1
-            and tail[1::2].strip(",") == ""
-            and tail[::2].strip("0123456789"[:p]) == ""
+            and tail[1::2] == "," * (len(tail) // 2)
+            and evens.isascii()
+            and not evens.encode().translate(None, b"0123456789"[:p])
         )
         try:
             gamma = int(head)

@@ -642,7 +642,8 @@ def test_modulus_rule_is_isqrt_against_the_list_cap(capsys, monkeypatch):
         assert main(argv.format(127).split()) == 2
         cmd = argv.split()[0]
         assert capsys.readouterr().err == (
-            f"error: {name} = 127 takes 11 baby steps, more than the 10 {cmd} takes\n"
+            f"error: {name} = 127 takes trial divisors up to 11, more than the 10 "
+            f"{cmd} takes\n"
         )
     # a modulus below 2 keeps the solver's own message
     assert main("congr pow-residue --a 2 --n 1 --m=-200".split()) == 2

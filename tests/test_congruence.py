@@ -155,11 +155,13 @@ def test_group_cache_is_bounded_by_table_entries(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(congruence, "factorize", counting_factorize)
-    # tables of 1351 and 1661 baby steps; no other test uses these moduli
-    first, second = 2 * 37**4, 2 * 41**4
+    # safe primes 2*ell + 1: parts of 2 and ell, tables of 2 + 1352 and 2 + 1662
+    # baby steps; no other test uses these moduli
+    first, second = 2 * 1825331 + 1, 2 * 2759063 + 1
     monkeypatch.setattr(congruence, "_UNIT_GROUP_TABLE_ENTRIES", 2000)
     power_residue_solve(3, 3, first)
     assert first in calls
+    assert congruence._UNIT_GROUPS.records[first][1] == 2 + 1352
     calls.clear()
     power_residue_solve(3, 5, first)
     assert not calls, "a record within the bound stays cached"
@@ -175,6 +177,33 @@ def test_group_cache_is_bounded_by_table_entries(monkeypatch):
     power_residue_solve(3, 5, second)
     assert calls.count(second) == 2
     assert congruence._UNIT_GROUPS.entries <= 2000
+
+
+def test_group_cache_counts_each_part_table_once():
+    # 5^10: parts 2^2 and 5^9, whose 2 and 9 digits share tables of 2 and 3
+    m = 5**10
+    assert len(congruence._unit_group(m).digits) == 2 + 9
+    assert congruence._UNIT_GROUPS.records[m][1] == 2 + 3
+
+
+def test_split_log_matches_the_one_part_walk(monkeypatch):
+    # every group split into its Sylow parts, even those the bound keeps
+    # whole, against one walk over the whole group: every unit mod m < 3000
+    for m in cyclic_moduli(2999)[1:]:
+        monkeypatch.setattr(congruence, "_SPLIT_BOUND", 0)
+        split = congruence._build_unit_group(m)
+        monkeypatch.setattr(congruence, "_SPLIT_BOUND", m)
+        whole = congruence._build_unit_group(m)
+        assert len(whole.digits) == 1
+        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+        assert [split.log(a) for a in units] == [whole.log(a) for a in units], m
+
+
+@pytest.mark.parametrize("m, a", [(7, 0), (9765625, 5), (16649, 0), (2 * 43**3, 86)])
+def test_log_of_a_non_unit_exhausts_the_group(m, a):
+    # one part, and groups split into two and more parts
+    with pytest.raises(ValueError, match="^index search exhausted the group$"):
+        congruence._unit_group(m).log(a)
 
 
 @given(st.sampled_from([7, 9, 11, 13, 23, 27, 49, 101, 121]), st.data())

@@ -5,7 +5,8 @@ answers of `is_prime` (trial division, and Miller-Rabin up to 2^80 here)
 and `factorize`, and its `primitive_root`,
 `discrete_log` and `nthroot_mod` to those of `find_primitive_root`, `index`
 and `power_residue_solve`.  The moduli reach well past the exhaustive tests'
-bound of 2000, up to about 10^7, where the giant-step walk runs long.
+bound of 2000, up to about 10^7, where the unit group is split into its
+Sylow parts, and straddle the bound on isqrt(phi) above which it is split.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from sympy import factorint, isprime, nextprime
 from sympy.ntheory import discrete_log, nthroot_mod, primitive_root
 
 from padicroots import euler_phi, find_primitive_root, index, is_prime, power_residue_solve
+import padicroots.congruence as congruence
 from padicroots.congruence import factorize
 
 PRIMES = [101, 1009, 7919, 65537, 104729, 524287, 999983, 1000003]
@@ -41,7 +43,15 @@ PRIME_POWERS = [
     17**5,
     2 * 23**5,
 ]
-MODULI = PRIMES + PRIME_POWERS
+# isqrt(phi) = 128 (one part) and 129 (parts of 2^3 and 2081), the two
+# smallest moduli, and a safe prime: phi = 2 * 100043
+EDGES = [16633, 16649, 2, 4, 200087]
+MODULI = PRIMES + PRIME_POWERS + EDGES
+
+
+def test_edge_moduli_straddle_the_split_bound():
+    assert congruence._SPLIT_BOUND == 128
+    assert [len(congruence._unit_group(m).digits) for m in EDGES] == [1, 4, 1, 1, 2]
 
 
 def test_is_prime_and_factorize_match_sympy():
@@ -115,18 +125,31 @@ def test_index_matches_sympy_discrete_log(m):
     rng = random.Random(m)
     g = find_primitive_root(m)
     phi = euler_phi(m)
-    # a primitive root other than g: g^k with k prime to phi(m)
-    k = next(k for k in range(2, phi) if math.gcd(k, phi) == 1)
+    # a primitive root other than g, g^k with k prime to phi(m), when
+    # phi(m) > 2; mod 2 and 4 there is no other
+    k = next((k for k in range(2, phi) if math.gcd(k, phi) == 1), 1)
     r = pow(g, k, m)
-    assert r != g
+    assert (r != g) == (phi > 2)
     for a in _units(m, rng, 12) + [1, g, r, m - 1]:
         assert index(g, a, m).value == discrete_log(m, a, g)
         iv = index(r, a, m)
         assert iv.value == discrete_log(m, a, r)
         assert (iv.base_r, iv.modulus_phi) == (r, phi)
     # g^k with gcd(k, phi) > 1 is no primitive root
-    with pytest.raises(ValueError, match="is not a primitive root"):
-        index(pow(g, 2, m), 1, m)
+    if phi > 1:
+        with pytest.raises(ValueError, match="is not a primitive root"):
+            index(pow(g, 2, m), 1, m)
+
+
+def test_index_matches_sympy_at_the_congr_anchor():
+    # m = 10^12 + 39 (tests/anchors.py): phi = 2 * 3 * 13 * 17 * 29 * 26005097,
+    # and the part of 26005097 has a table of 5,100 baby steps
+    m = 10**12 + 39
+    assert factorize(m - 1) == {2: 1, 3: 1, 13: 1, 17: 1, 29: 1, 26005097: 1}
+    g = find_primitive_root(m)
+    assert g == primitive_root(m) == 3
+    for a in (2, 5, m - 2):
+        assert index(g, a, m).value == discrete_log(m, a, g)
 
 
 @pytest.mark.parametrize("m", MODULI)

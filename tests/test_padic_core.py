@@ -405,7 +405,7 @@ def outcome(parse, text: str, p: int, precision: int):
 # a zero or an out-of-range digit on it
 AWKWARD = [
     " ", "+", "-", "_", "", " 1", "1 ", "+1", "-0", "1_0", "01", "00", "10",
-    "12", "a", ";", "\u0661", "\uff11", "0", "7", "9",
+    "12", "a", ";", "\u0661", "\u0663", "\u00b2", "\uff11", "0", "7", "9",
 ]
 LENGTHS = [
     st.integers(1, 12),
@@ -449,6 +449,12 @@ def test_parse_value_edge_literals_match_reference(p):
         " 3;1,0 ", "3 ;1,0", "-2;1,1,1", "0;01", "0;1,2", "0;1,1;1", "0;",
         ";1", "1e3;1", "0;1.0", "0;10", "0;1,10", "0;9,9", "0;1,0,0,0,0",
         "0;6,0,9", "0;1,0,2", "0;" + ",".join("1" * 4301),
+        # one entry off the numeral's shape: a non-ASCII digit, a space, a
+        # sign or an underscore at an even place, or no comma at an odd one;
+        # \udcff is how a command line decodes the byte 0xff (surrogateescape)
+        "0;\u00b2", "0;1,\u00b2", "0;\u0663", "0;1,\u0663,1", "0;1,\udcff",
+        "0;\udcff,1", "0;1, ", "0;1,_",
+        "0;_,1", "0;1,-", "0;1,+,1", "0;1;0", "0;1 0", "0;1,0,1,0,9",
     ]
     for text in edge:
         for precision in (1, 4, 4301):

@@ -93,10 +93,11 @@ def test_bare_package_import_loads_no_submodule():
         ),
         (
             padicroots.congruence._UnitGroup,
-            "m phi g step baby giant",
+            "m phi g digits",
             {},
             lambda: padicroots.congruence._unit_group(7),
-            "_UnitGroup(m=7, phi=6, g=3, step=3, baby={1: 0, 3: 1, 2: 2}, giant=6)",
+            "_UnitGroup(m=7, phi=6, g=3, "
+            "digits=((6, 1, 1, 3, {1: 0, 3: 1, 2: 2}, 6),))",
         ),
         (
             padicroots.IndexValue,

@@ -32,7 +32,7 @@ bytes.  The requests are:
   structured`, the least table over it (1,000,487 epsilon entries);
 * plain `table --p-max 2000`, the rows of every odd prime below 2000;
 * ADMITTED_ANCHORS (tests/anchors.py), plain requests near the command
-  line's bounds, 0.2 to 1.9 s each as a process: lifts at p up to
+  line's bounds, 0.1 to 1.0 s each as a process: lifts at p up to
   10^12 + 39 and 10^4 digits, classify with 166,667 roots of unity, a
   pow-residue modulus near 10^12, and check at a 25-digit prime.  The
   requests those bounds refuse are left out: before the bounds, some of
