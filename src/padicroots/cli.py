@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 from functools import lru_cache
+from itertools import accumulate
 
 # the C string escaper json.encoder re-exports, without loading json
 from _json import encode_basestring_ascii as _quote
@@ -139,17 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-class _Runs(tuple):
-    """A list of ints held as runs: a tuple of ranges of step 1, whose
-    concatenation is the list."""
+class _Runs(list):
+    """A list of ints held as runs: a list of ranges of step 1, whose
+    concatenation is the list.  Not a tuple: CPython 3.11 frees a tuple of
+    20 items to a free list that no later tuple is taken from, and it stays
+    there until a full collection (a table row with 19 j's has 20 runs)."""
 
 
-# A run's ints from 1000 up are written from block text: n = 1000*P + r is
-# str(P) then r in three digits, so the ints of block P, each followed by
-# the separator, are one template with str(P) put in for every "@".  Table
-# rows revisit the blocks below p_max^2 < 10^8, so the blocks of P below
-# _CACHED_BLOCK are kept: at most 256, of 1000 * (8 + len(sep)) characters
-# each (18 KB at a table row's depth).
+# A run's ints from 0 up are written from block text.  From 1000 up,
+# n = 1000*P + r is str(P) then r in three digits, so the ints of block P,
+# each followed by the separator, are one template with str(P) put in for
+# every "@".  Table rows revisit the blocks below p_max^2 < 10^8, so the
+# blocks of P below _CACHED_BLOCK are kept: at most 256, of
+# 1000 * (8 + len(sep)) characters each (18 KB at a table row's depth).
+# The ints of block 0 differ in width, so _small_text keeps their offsets.
 _CACHED_BLOCK = 10**5
 
 
@@ -165,15 +169,27 @@ def _run_block(sep: str, block: int) -> str:
     return _run_template(sep).replace("@", str(block))
 
 
-def _runs_text(runs, sep: str) -> str:
-    """The ints of the runs joined by sep: those below 1000 by one format
-    per run, the rest one slice of block text per block a run touches."""
-    parts = []
+@lru_cache(maxsize=8)
+def _small_text(sep: str) -> tuple[str, list[int]]:
+    """The ints 0 .. 999, each followed by sep, and where each one starts
+    in that text (1001 offsets, the last its length)."""
+    parts = [f"{n}{sep}" for n in range(1000)]
+    return "".join(parts), list(accumulate(map(len, parts), initial=0))
+
+
+def _runs_text(runs, sep: str, out: list) -> None:
+    """Append to out the ints of the runs, each followed by sep: negative
+    ints by one format per run, the rest one slice of block text per block
+    a run touches (block 0 by the offsets of _small_text)."""
     for r in runs:
         a, b = r.start, r.stop
+        if a < (top := min(b, 0)):
+            neg = range(a, top)
+            out.append((f"%d{sep}" * len(neg)) % tuple(neg))
+            a = 0
         if a < (top := min(b, 1000)):
-            small = range(a, top)
-            parts.append((sep.join(["%d"] * len(small)) + sep) % tuple(small))
+            text, at = _small_text(sep)
+            out.append(text[at[a] : at[top]])
             a = 1000
         while a < b:
             block, lo = divmod(a, 1000)
@@ -181,66 +197,84 @@ def _runs_text(runs, sep: str) -> str:
             kept = block < _CACHED_BLOCK
             text = (_run_block if kept else _run_block.__wrapped__)(sep, block)
             width = len(text) // 1000
-            parts.append(text[lo * width : hi * width])
+            out.append(text[lo * width : hi * width])
             a += hi - lo
-    if parts:
-        parts[-1] = parts[-1][: -len(sep)]
-    return "".join(parts)
 
 
 class _Terms(tuple):
-    """A list of N_k terms held as (exponents, coefficient, value) triples
-    of plain ints, every exponents tuple of the same length k; written as
-    the list of {"exponents": [...], "coefficient": c, "value": v}."""
+    """A list of N_k terms held as (exponents, coefficient, value) triples:
+    the exponents as nk_walk's text "m_0,...,m_{k-1}" (k = 0 is ""), of
+    the same k in every term, and the others plain ints; written as the list
+    of {"exponents": [...], "coefficient": c, "value": v}."""
 
 
-def _json(x, indent: str = "\n") -> str:
+def _json(x) -> str:
     """x as JSON, byte for byte as json.dumps(x, indent=2) writes it, for
     the types the commands emit: dict with str keys, list, _Runs, _Terms,
-    str, int, bool and None.  Strings go through the stdlib's C escaper, and
-    a list of plain ints (no bools) or each term of a _Terms is written by
-    one format, and a _Runs from block text (_runs_text)."""
+    str, int, bool and None.  _write puts the text in one list, joined
+    once, so no part of the answer is copied once per nesting level."""
+    out: list[str] = []
+    _write(x, "\n", out)
+    return "".join(out)
+
+
+def _write(x, indent: str, out: list) -> None:
+    """Append the JSON text of x, at the nesting whose newline and
+    indentation is indent, to out.  Strings go through the stdlib's C
+    escaper; a list of plain ints (no bools) is written by one format, each
+    term of a _Terms by one format over its exponent text with the commas
+    widened, and a _Runs from block text (_runs_text)."""
     t = type(x)
     if t is str:
-        return _quote(x)
-    if t is int:
-        return int.__repr__(x)
-    if x is None:
-        return "null"
-    if t is bool:
-        return "true" if x else "false"
-    inner = indent + "  "
-    sep = "," + inner
-    if t is list:
-        if not x:
-            return "[]"
-        if set(map(type, x)) == {int}:
-            body = sep.join(["%d"] * len(x)) % tuple(x)
+        out.append(_quote(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif x is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if x else "false")
+    elif t not in (list, _Runs, _Terms, dict):
+        raise TypeError(f"cannot write {t.__name__} as JSON")
+    elif not x:
+        out.append("{}" if t is dict else "[]")
+    else:
+        inner = indent + "  "
+        sep = "," + inner
+        if t is dict:
+            out.append("{" + inner)
+            for k, v in x.items():
+                out.append(_quote(k) + ": ")
+                _write(v, inner, out)
+                out.append(sep)
+            out[-1] = indent + "}"
+            return
+        out.append("[" + inner)
+        if t is _Runs:
+            n = len(out)
+            _runs_text(x, sep, out)
+            if len(out) == n:  # runs of no ints
+                out[-1] = "[]"
+                return
+            out[-1] = out[-1][: -len(sep)]
+        elif t is _Terms:
+            key = inner + "  "  # a term's keys
+            deep = key + "  "  # its exponents
+            # k = 0 writes [] and formats the empty text into nothing
+            exponents = f"[{deep}%s{key}]" if x[0][0] else "[]%s"
+            term = (
+                f'{{{key}"exponents": {exponents},'
+                f'{key}"coefficient": %d,{key}"value": %d{inner}}}'
+            )
+            wide = "," + deep
+            out.append(sep.join([term % (e.replace(",", wide), c, v) for e, c, v in x]))
+        elif set(map(type, x)) == {int}:
+            out.append(sep.join(["%d"] * len(x)) % tuple(x))
         else:
-            body = sep.join([_json(v, inner) for v in x])
-        return f"[{inner}{body}{indent}]"
-    if t is _Runs:
-        body = _runs_text(x, sep)
-        return f"[{inner}{body}{indent}]" if body else "[]"
-    if t is _Terms:
-        if not x:
-            return "[]"
-        key = inner + "  "  # a term's keys
-        deep = key + "  "  # its exponents
-        k = len(x[0][0])
-        exponents = f"[{deep}{(',' + deep).join(['%d'] * k)}{key}]" if k else "[]"
-        term = (
-            f'{{{key}"exponents": {exponents},'
-            f'{key}"coefficient": %d,{key}"value": %d{inner}}}'
-        )
-        body = sep.join([term % (*e, c, v) for e, c, v in x])
-        return f"[{inner}{body}{indent}]"
-    if t is dict:
-        if not x:
-            return "{}"
-        body = sep.join([_quote(k) + ": " + _json(v, inner) for k, v in x.items()])
-        return f"{{{inner}{body}{indent}}}"
-    raise TypeError(f"cannot write {t.__name__} as JSON")
+            for v in x:
+                _write(v, inner, out)
+                out.append(sep)
+            out.pop()
+        out.append(indent + "]")
 
 
 def _emit(args, plain_lines, payload) -> str:
@@ -552,8 +586,7 @@ def cmd_expand(args) -> str:
         f"N_{args.k} terms (m_0,...,m_{args.k - 1}):",
     ]
     if terms:
-        row = ",".join(["%d"] * args.k)  # one format writes a term's exponents
-        lines += [f"  ({row % e})  coeff {c}  value {value}" for e, c, value in terms]
+        lines += [f"  ({e})  coeff {c}  value {v}" for e, c, v in terms]
     else:
         lines.append("  (none)")
     lines.append(f"N_{args.k} = {nk}")

@@ -16,7 +16,9 @@ forced: when every digit is nonzero, p divides N_k exactly when p does not
 divide k.  The helpers here compute N_k both by direct enumeration and by an
 exact generating-polynomial route, count binomial carries, and expose the
 reduced quantity ntilde_pk that is independent of the last digit it
-nominally involves.
+nominally involves.  The enumeration, nk_walk, gives each term's exponents
+as the text that expand prints, built along the walk, so no term holds a
+tuple of k ints; nk_terms reads that text back into NkTerm tuples.
 """
 
 import math
@@ -49,48 +51,73 @@ class NkTerm(namedtuple("NkTerm", "exponents coefficient")):
         return self.coefficient * math.prod(map(pow, digits, self.exponents))
 
 
-def nk_walk(q: int, k: int, digits) -> list[tuple[tuple[int, ...], int, int]]:
+def nk_walk(q: int, k: int, digits) -> list[tuple[str, int, int]]:
     """Every term of N_k as (exponents, coefficient, value), in
-    lexicographic order of (m_{k-1}, ..., m_1); the value is the term at
-    the digits d0..d_{k-1}, the first k of digits."""
+    lexicographic order of (m_{k-1}, ..., m_1).  The exponents are the
+    text "m_0,m_1,...,m_{k-1}", and the value is the term at the digits
+    d0..d_{k-1}, the first k of digits.
+
+    The text is built along the walk, one choice at a time: ",m" for the
+    choice, then ",0" for each position between it and the choice above,
+    then the text of the positions already chosen.  A leaf puts str(m_0)
+    and the zeros below its lowest position in front."""
     if q < 1:
         raise ValueError("exponent q must be at least 1")
     if k < 1:
         raise ValueError("digit position k must be at least 1")
-    out: list[tuple[tuple[int, ...], int, int]] = []
-    tail = [0] * k  # m_1..m_{k-1} chosen, m_0 derived
+    out: list[tuple[str, int, int]] = []
+    append = out.append
     d0 = digits[0]
+    # a choice has m <= min(q, k), and leaves count_left >= q - min(q, k):
+    # per-call tables of the ",m" texts and of binom(count_left, m) by
+    # count_left - base, measured faster than a format and a comb per choice
+    r = min(q, k)
+    base = q - r
+    marks = [f",{m}" for m in range(r + 1)]
+    zeros = [",0" * n for n in range(k)]
+    binom = [
+        [math.comb(c, m) for m in range(min(c, r) + 1)] for c in range(base, q + 1)
+    ]
 
     def rec(
-        top: int, count_left: int, weight_left: int, coeff: int, value: int
+        top: int,
+        count_left: int,
+        weight_left: int,
+        coeff: int,
+        value: int,
+        text: str,
     ) -> None:
-        # Positions below top are all 0 here.  Pick the highest nonzero one
-        # (lowest pos first, then smallest m), keeping only choices whose
-        # rest fits: weight w fits in c parts below pos iff w <= c*(pos-1),
-        # so pos itself needs w <= c*pos (c > 0 while weight is left).
-        # coeff is q! / (count_left! * the chosen m!): one binomial per
-        # choice makes it the multinomial coefficient once m_0 is placed;
-        # value is the product of the chosen digits[pos]**m.
-        if weight_left == 0:
-            tail[0] = count_left
-            out.append((tuple(tail), coeff, coeff * value * d0**count_left))
-            return
+        # Positions below top are all 0 here, and weight is left.  Pick the
+        # highest nonzero one (lowest pos first, then smallest m), keeping
+        # only choices whose rest fits: weight w fits in c parts below pos
+        # iff w <= c*(pos-1), so pos itself needs w <= c*pos (c > 0 while
+        # weight is left).  coeff is q! / (count_left! * the chosen m!): one
+        # binomial per choice makes it the multinomial coefficient once m_0
+        # is placed; value is the product of the chosen digits[pos]**m, and
+        # text the exponents of positions top..k-1.
         first = -(-weight_left // count_left)
+        row = binom[count_left - base]
         for pos in range(first, min(top, weight_left + 1)):
             low = max(1, weight_left - count_left * (pos - 1))
             d = digits[pos]
+            above = zeros[top - pos - 1] + text
             for m in range(low, min(count_left, weight_left // pos) + 1):
-                tail[pos] = m
-                rec(
-                    pos,
-                    count_left - m,
-                    weight_left - pos * m,
-                    coeff * math.comb(count_left, m),
-                    value * d**m,
-                )
-            tail[pos] = 0
+                c = coeff * row[m]
+                if weight_left > pos * m:
+                    rec(
+                        pos,
+                        count_left - m,
+                        weight_left - pos * m,
+                        c,
+                        value * d**m,
+                        marks[m] + above,
+                    )
+                else:  # a leaf: m_0 takes the count left
+                    n = count_left - m
+                    e = f"{n}{zeros[pos - 1]}{marks[m]}{above}"
+                    append((e, c, c * value * d**m * d0**n))
 
-    rec(k, q, k, 1, 1)
+    rec(k, q, k, 1, 1, "")
     # rec's closure holds rec itself: empty that cell, or the cycle keeps
     # out alive until the garbage collector next runs
     del rec
@@ -100,7 +127,9 @@ def nk_walk(q: int, k: int, digits) -> list[tuple[tuple[int, ...], int, int]]:
 def nk_terms(q: int, k: int) -> list[NkTerm]:
     """All exponent tuples of N_k with their coefficients, in lexicographic
     order of (m_{k-1}, ..., m_1).  Only digits d0..d_{k-1} appear."""
-    return [NkTerm(e, c) for e, c, _ in nk_walk(q, k, [1] * k)]
+    return [
+        NkTerm(tuple(map(int, e.split(","))), c) for e, c, _ in nk_walk(q, k, [1] * k)
+    ]
 
 
 def nk_term_count(q: int, k: int, cap: int) -> int:

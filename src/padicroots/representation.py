@@ -199,8 +199,12 @@ def j_no_solution_table(p_max: int) -> dict[int, tuple[int, ...]]:
 
 
 def _j_row(p: int) -> tuple[int, ...]:
-    """The j_no_solution_table row of one odd prime p: the j no j_i hits."""
-    return tuple(filterfalse(set(_second_digits(p)).__contains__, range(p)))
+    """The j_no_solution_table row of one odd prime p: the j no j_i hits.
+
+    The tuple is built from a list, of known length.  tuple() of an iterator
+    guesses a size and resizes the tuple once full, and CPython then keeps
+    it on the free list of its new size until the next full collection."""
+    return tuple(list(filterfalse(set(_second_digits(p)).__contains__, range(p))))
 
 
 def derived_epsilon_set(p: int) -> tuple[int, ...]:
@@ -212,10 +216,11 @@ def derived_epsilon_set(p: int) -> tuple[int, ...]:
     return tuple(chain.from_iterable(_epsilon_runs(p, js)))
 
 
-def _epsilon_runs(p: int, row) -> tuple[range, ...]:
+def _epsilon_runs(p: int, row) -> list[range]:
     """1, then i + j*p for i in [1, p-1] and each j of a table row, as runs
     of consecutive integers.  The classes of one j are the run j*p+1 ..
     j*p+p-1, and j = 0 is never in a row (i = 1 solves it), so for a row in
     increasing order 1 and then the runs in row order are already in
-    increasing order."""
-    return (range(1, 2), *(range(j * p + 1, j * p + p) for j in row))
+    increasing order.  A list, so that the command line holds the runs
+    without building a tuple of them."""
+    return [range(1, 2), *(range(j * p + 1, j * p + p) for j in row)]

@@ -8,6 +8,7 @@ codes.  Structured output must carry the same data as the plain text.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -283,11 +284,18 @@ _json_runs = st.lists(
     ),
     max_size=5,
 ).map(_Runs)
-# N_k terms with 0 to 3 exponents each, empty lists of them too
+# N_k terms with 0 to 3 exponents each, as nk_walk's text (k = 0 is ""),
+# empty lists of them too
 _json_ints = st.integers(-(10**30), 10**30)
 _json_terms = st.integers(0, 3).flatmap(
     lambda k: st.lists(
-        st.tuples(st.tuples(*[_json_ints] * k), _json_ints, _json_ints),
+        st.tuples(
+            st.lists(_json_ints, min_size=k, max_size=k).map(
+                lambda e: ",".join(map(str, e))
+            ),
+            _json_ints,
+            _json_ints,
+        ),
         max_size=4,
     )
 ).map(_Terms)
@@ -308,7 +316,14 @@ def _built_out(x):
     if type(x) is _Runs:
         return list(chain(*x))
     if type(x) is _Terms:
-        return [{"exponents": list(e), "coefficient": c, "value": v} for e, c, v in x]
+        return [
+            {
+                "exponents": list(map(int, e.split(","))) if e else [],
+                "coefficient": c,
+                "value": v,
+            }
+            for e, c, v in x
+        ]
     if type(x) is list:
         return [_built_out(v) for v in x]
     if type(x) is dict:
@@ -569,6 +584,33 @@ def test_table_structured_is_stdlib_json_of_the_built_out_rows(capsys, p_max):
     assert out == json.dumps(payload, indent=2) + "\n"
 
 
+def test_structured_table_strands_no_tuples():
+    # a table answer leaves nothing behind: under CPython 3.11 a tuple of
+    # 20 items, or one resized after it was built, goes to a free list that
+    # no later tuple is taken from, and stays there until a full collection
+    # (without the collector, for good).  Warm up, then the blocks allocated
+    # must not grow with the number of answers.
+    argv = ["table", "--p-max", "150", "--format", "structured"]
+    calls = 200
+
+    def answer(n):
+        for _ in range(n):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+
+    answer(3)
+    gc.collect()
+    gc.disable()
+    try:
+        answer(3)
+        before = sys.getallocatedblocks()
+        answer(calls)
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < calls // 8, grown
+
+
 def test_table_structured_builds_each_row_once(capsys, monkeypatch):
     j_row = padicroots.representation._j_row
     calls = []
@@ -739,6 +781,33 @@ def test_expand_with_no_terms_says_none(capsys):
         "N_2 = 0\n"
         "coefficient of p^2 = 0\n"
     )
+
+
+@pytest.mark.parametrize(
+    "q, k",
+    [(7, 25), (6, 22), (5, 25), (7, 18), (4, 25), (3, 25)]
+    + [(q, k) for q in range(1, 6) for k in range(1, 9)],
+)
+def test_plain_expand_terms_match_the_term_tuples(capsys, q, k):
+    # the term lines come from the walk's exponent text; render them again
+    # from nk_terms' tuples and NkTerm.evaluate, at the benchmark's shapes
+    # and the small ones
+    p = 13
+    digits = [(7 * i + 3) % p for i in range(k + 1)]
+    code, out = run_cli(
+        capsys, "expand", "--p", str(p), "--q", str(q), "--k", str(k),
+        "--digits", ",".join(map(str, digits)),
+    )
+    assert code == 0
+    lines = out.splitlines()
+    head = lines.index(f"N_{k} terms (m_0,...,m_{k - 1}):")
+    tail = lines.index(f"N_{k} = {nk_sequence(q, digits, k)[k - 1]}")
+    want = [
+        "  (" + ",".join(map(str, t.exponents)) + ")"
+        + f"  coeff {t.coefficient}  value {t.evaluate(digits)}"
+        for t in nk_terms(q, k)
+    ]
+    assert lines[head + 1 : tail] == (want or ["  (none)"])
 
 
 @settings(max_examples=60, deadline=None)
