@@ -141,20 +141,20 @@ _PARSER = build_parser()
 
 
 class _Runs(list):
-    """A list of ints held as runs: a list of ranges of step 1, whose
-    concatenation is the list.  Not a tuple: CPython 3.11 frees a tuple of
-    20 items to a free list that no later tuple is taken from, and it stays
-    there until a full collection (a table row with 19 j's has 20 runs)."""
+    """A list of positive ints held as runs: a list of ranges of step 1,
+    the first of them not empty, whose concatenation is the list (every
+    _Runs a command builds starts with the run [1]).  Not a tuple: CPython
+    3.11 frees a tuple of 20 items to a free list that no later tuple is
+    taken from, and it stays there until a full collection (a table row
+    with 19 j's has 20 runs)."""
 
 
-# A run's ints from 0 up are written from block text.  From 1000 up,
+# A run's ints are written from block text.  From 1000 up,
 # n = 1000*P + r is str(P) then r in three digits, so the ints of block P,
 # each followed by the separator, are one template with str(P) put in for
-# every "@".  Table rows revisit the blocks below p_max^2 < 10^8, so the
-# blocks of P below _CACHED_BLOCK are kept: at most 256, of
-# 1000 * (8 + len(sep)) characters each (18 KB at a table row's depth).
-# The ints of block 0 differ in width, so _small_text keeps their offsets.
-_CACHED_BLOCK = 10**5
+# every "@".  The last 256 blocks used are kept, of 1000 * (8 + len(sep))
+# characters each at a table row's depth (18 KB); the largest table under
+# LIST_CAP touches 125.
 
 
 @lru_cache(maxsize=8)
@@ -163,56 +163,44 @@ def _run_template(sep: str) -> str:
 
 
 @lru_cache(maxsize=256)
-def _run_block(sep: str, block: int) -> str:
-    """The ints 1000*block .. 1000*block + 999, block >= 1, each followed
-    by sep."""
-    return _run_template(sep).replace("@", str(block))
-
-
-@lru_cache(maxsize=8)
-def _small_text(sep: str) -> tuple[str, list[int]]:
-    """The ints 0 .. 999, each followed by sep, and where each one starts
-    in that text (1001 offsets, the last its length)."""
+def _run_block(sep: str, block: int) -> tuple[str, list[int] | range]:
+    """The ints 1000*block .. 1000*block + 999, each followed by sep, and
+    where each one starts in that text (1001 offsets, the last its length):
+    a list for block 0, whose ints differ in width, a range for the rest."""
+    if block:
+        text = _run_template(sep).replace("@", str(block))
+        return text, range(0, len(text) + 1, len(text) // 1000)
     parts = [f"{n}{sep}" for n in range(1000)]
     return "".join(parts), list(accumulate(map(len, parts), initial=0))
 
 
 def _runs_text(runs, sep: str, out: list) -> None:
-    """Append to out the ints of the runs, each followed by sep: negative
-    ints by one format per run, the rest one slice of block text per block
-    a run touches (block 0 by the offsets of _small_text)."""
+    """Append to out the ints of the runs, each followed by sep: one slice
+    of block text per block a run touches."""
     for r in runs:
         a, b = r.start, r.stop
-        if a < (top := min(b, 0)):
-            neg = range(a, top)
-            out.append((f"%d{sep}" * len(neg)) % tuple(neg))
-            a = 0
-        if a < (top := min(b, 1000)):
-            text, at = _small_text(sep)
-            out.append(text[at[a] : at[top]])
-            a = 1000
         while a < b:
             block, lo = divmod(a, 1000)
             hi = min(b - 1000 * block, 1000)
-            kept = block < _CACHED_BLOCK
-            text = (_run_block if kept else _run_block.__wrapped__)(sep, block)
-            width = len(text) // 1000
-            out.append(text[lo * width : hi * width])
+            text, at = _run_block(sep, block)
+            out.append(text[at[lo] : at[hi]])
             a += hi - lo
 
 
 class _Terms(tuple):
     """A list of N_k terms held as (exponents, coefficient, value) triples:
-    the exponents as nk_walk's text "m_0,...,m_{k-1}" (k = 0 is ""), of
-    the same k in every term, and the others plain ints; written as the list
-    of {"exponents": [...], "coefficient": c, "value": v}."""
+    the exponents as nk_walk's text "m_0,...,m_{k-1}", of the same k >= 2
+    in every term (expand lists terms only for k >= 2), and the others
+    plain ints; written as the list of {"exponents": [...], "coefficient":
+    c, "value": v}."""
 
 
 def _json(x) -> str:
     """x as JSON, byte for byte as json.dumps(x, indent=2) writes it, for
-    the types the commands emit: dict with str keys, list, _Runs, _Terms,
-    str, int, bool and None.  _write puts the text in one list, joined
-    once, so no part of the answer is copied once per nesting level."""
+    the types the commands emit: dict with str keys, list and tuple (both
+    written as arrays), _Runs, _Terms, str, int, bool and None.  _write
+    puts the text in one list, joined once, so no part of the answer is
+    copied once per nesting level."""
     out: list[str] = []
     _write(x, "\n", out)
     return "".join(out)
@@ -221,9 +209,11 @@ def _json(x) -> str:
 def _write(x, indent: str, out: list) -> None:
     """Append the JSON text of x, at the nesting whose newline and
     indentation is indent, to out.  Strings go through the stdlib's C
-    escaper; a list of plain ints (no bools) is written by one format, each
-    term of a _Terms by one format over its exponent text with the commas
-    widened, and a _Runs from block text (_runs_text)."""
+    escaper; a list or tuple of plain ints (no bools) is written by one
+    format, a tuple with no copy of it; each term of a _Terms (k >= 2
+    exponents) by one format over its exponent text with the commas
+    widened, and a _Runs (positive ints, the first run not empty) from
+    block text (_runs_text)."""
     t = type(x)
     if t is str:
         out.append(_quote(x))
@@ -233,7 +223,7 @@ def _write(x, indent: str, out: list) -> None:
         out.append("null")
     elif t is bool:
         out.append("true" if x else "false")
-    elif t not in (list, _Runs, _Terms, dict):
+    elif t not in (list, tuple, _Runs, _Terms, dict):
         raise TypeError(f"cannot write {t.__name__} as JSON")
     elif not x:
         out.append("{}" if t is dict else "[]")
@@ -250,24 +240,19 @@ def _write(x, indent: str, out: list) -> None:
             return
         out.append("[" + inner)
         if t is _Runs:
-            n = len(out)
             _runs_text(x, sep, out)
-            if len(out) == n:  # runs of no ints
-                out[-1] = "[]"
-                return
             out[-1] = out[-1][: -len(sep)]
         elif t is _Terms:
             key = inner + "  "  # a term's keys
             deep = key + "  "  # its exponents
-            # k = 0 writes [] and formats the empty text into nothing
-            exponents = f"[{deep}%s{key}]" if x[0][0] else "[]%s"
             term = (
-                f'{{{key}"exponents": {exponents},'
+                f'{{{key}"exponents": [{deep}%s{key}],'
                 f'{key}"coefficient": %d,{key}"value": %d{inner}}}'
             )
             wide = "," + deep
             out.append(sep.join([term % (e.replace(",", wide), c, v) for e, c, v in x]))
         elif set(map(type, x)) == {int}:
+            # tuple() of a tuple is the tuple itself
             out.append(sep.join(["%d"] * len(x)) % tuple(x))
         else:
             for v in x:
@@ -501,19 +486,15 @@ def cmd_table(args) -> str:
         return "\n".join(
             f"p={p}: " + ", ".join(map(str, js)) for p, js in table.items()
         )
-    rows = [
-        {
-            "p": p,
-            "j_no_solution": list(js),
-            "epsilon_derived": _Runs(_epsilon_runs(p, js)),
-        }
-        for p, js in table.items()
-    ]
-    entries = sum(len(run) for row in rows for run in row["epsilon_derived"])
+    entries = sum(1 + len(js) * (p - 1) for p, js in table.items())
     if entries > LIST_CAP:
         raise ValueError(
             f"{entries} epsilon entries, more than the {LIST_CAP} table lists"
         )
+    rows = [
+        {"p": p, "j_no_solution": js, "epsilon_derived": _Runs(_epsilon_runs(p, js))}
+        for p, js in table.items()
+    ]
     return _json({"command": "table", "p_max": args.p_max, "rows": rows})
 
 
@@ -548,7 +529,7 @@ def cmd_congr(args) -> str:
     payload.update(
         {
             "modulus": sol.modulus,
-            "representatives": list(sol.representatives),
+            "representatives": sol.representatives,
             "count": sol.count,
         }
     )

@@ -40,11 +40,13 @@ bytes.  The requests are:
 
 --src picks the directory padicroots is imported from (default: this
 checkout's src), so one checkout's requests can run against another's
-program.
+program.  It prints the record count and the md5 of the file it wrote,
+so two snapshots compare by one line.
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import shlex
@@ -127,8 +129,9 @@ def main() -> None:
     from padicroots.cli import main as cli_main
 
     records = [run(cli_main, argv) for argv in reqs]
-    Path(args.out).write_text(json.dumps(records, indent=1) + "\n")
-    print(f"{len(records)} requests -> {args.out}")
+    data = (json.dumps(records, indent=1) + "\n").encode()
+    Path(args.out).write_bytes(data)
+    print(f"{len(records)} requests -> {args.out} (md5 {hashlib.md5(data).hexdigest()})")
 
 
 if __name__ == "__main__":
