@@ -23,13 +23,9 @@ _SOURCES = {
     "is_qth_residue": "congruence",
     "power_residue_solve": "congruence",
     "solve_linear": "congruence",
-    "NkTerm": "multinomial",
     "binom_valuation_kummer": "multinomial",
     "compute_Nk": "multinomial",
-    "multinomial_coeff": "multinomial",
-    "nk_dichotomy": "multinomial",
     "nk_sequence": "multinomial",
-    "nk_terms": "multinomial",
     "ntilde_pk": "multinomial",
     "Decomposition": "representation",
     "classify": "representation",

@@ -13,42 +13,14 @@ since no tuple meets the weight constraint.
 
 For q = p the numbers N_k control which digit positions of a p-th power are
 forced: when every digit is nonzero, p divides N_k exactly when p does not
-divide k.  The helpers here compute N_k both by direct enumeration and by an
-exact generating-polynomial route, count binomial carries, and expose the
-reduced quantity ntilde_pk that is independent of the last digit it
-nominally involves.  The enumeration, nk_walk, gives each term's exponents
-as the text that expand prints, built along the walk, so no term holds a
-tuple of k ints; nk_terms reads that text back into NkTerm tuples.
+divide k.  N_k comes from nk_walk, the one enumeration of the terms, or
+from the generating polynomial of nk_sequence; the module also counts
+binomial carries and gives ntilde_pk, which does not depend on the last
+digit it nominally involves.  nk_walk builds each term's exponents as the
+text that expand prints, so no term holds a tuple of k ints.
 """
 
 import math
-from collections import namedtuple
-
-
-def multinomial_coeff(q: int, parts) -> int:
-    """q! / (m_0! * m_1! * ...) for parts summing to q, computed as a
-    telescoping product of binomials so every intermediate is an integer."""
-    parts = list(parts)
-    if any(m < 0 for m in parts):
-        raise ValueError("multinomial parts must be non-negative")
-    if sum(parts) != q:
-        raise ValueError(f"parts {parts} do not sum to {q}")
-    coeff = 1
-    total = 0
-    for m in parts:
-        total += m
-        coeff *= math.comb(total, m)
-    return coeff
-
-
-class NkTerm(namedtuple("NkTerm", "exponents coefficient")):
-    """One term of N_k: exponent tuple (m_0, ..., m_{k-1}) plus its
-    multinomial coefficient."""
-
-    __slots__ = ()
-
-    def evaluate(self, digits) -> int:
-        return self.coefficient * math.prod(map(pow, digits, self.exponents))
 
 
 def nk_walk(q: int, k: int, digits) -> list[tuple[str, int, int]]:
@@ -124,14 +96,6 @@ def nk_walk(q: int, k: int, digits) -> list[tuple[str, int, int]]:
     return out
 
 
-def nk_terms(q: int, k: int) -> list[NkTerm]:
-    """All exponent tuples of N_k with their coefficients, in lexicographic
-    order of (m_{k-1}, ..., m_1).  Only digits d0..d_{k-1} appear."""
-    return [
-        NkTerm(tuple(map(int, e.split(","))), c) for e, c, _ in nk_walk(q, k, [1] * k)
-    ]
-
-
 def nk_term_count(q: int, k: int, cap: int) -> int:
     """The number of N_k terms, or a number above cap once it passes cap.
 
@@ -172,6 +136,8 @@ def nk_sequence(q: int, digits, k_max: int) -> list[int]:
     digits = [int(d) for d in digits]
     if q < 1:
         raise ValueError("exponent q must be at least 1")
+    if not digits:
+        raise ValueError("the digit list is empty: need at least d0")
     if any(d < 0 for d in digits):
         raise ValueError("digits must be non-negative")
     # every coefficient of the power is at most (sum of digits)^q
@@ -192,23 +158,11 @@ def nk_sequence(q: int, digits, k_max: int) -> list[int]:
     return out
 
 
-def nk_dichotomy(p: int, k: int, digits) -> tuple[bool, bool]:
-    """For q = p, the pair (p divides N_k, p divides k).
-
-    With every supplied digit nonzero these are strict opposites; zero
-    digits can break that, so callers choosing digit vectors should keep
-    them nonzero when relying on the dichotomy.
-    """
-    digits = list(digits)
-    if len(digits) < k:
-        raise ValueError(f"need at least {k} digits d0..d{k-1}")
-    nk = nk_sequence(p, digits, k)[k - 1]
-    return (nk % p == 0, k % p == 0)
-
-
 def binom_valuation_kummer(m: int, n: int, p: int) -> int:
     """Exponent of p in binomial(m+n, m): the number of carries when adding
     m and n in base p."""
+    if p < 2:
+        raise ValueError(f"valuation base must be at least 2, got {p}")
     if m < 0 or n < 0:
         raise ValueError("arguments must be non-negative")
     carries = 0

@@ -210,9 +210,13 @@ def _j_row(p: int) -> tuple[int, ...]:
 def derived_epsilon_set(p: int) -> tuple[int, ...]:
     """{1} plus every i + j*p (i in [1, p-1]) with j drawn from the
     no-solution table: the epsilon classes forced purely by the second
-    digit."""
+    digit.  More than LIST_CAP of them are refused before any is built."""
     _check_table_bound(p)
     js = _j_row(p) if p >= 3 and is_prime(p) else ()
+    if (n := 1 + len(js) * (p - 1)) > LIST_CAP:
+        raise ValueError(
+            f"derived_epsilon_set({p}) has {n} entries, more than {LIST_CAP}"
+        )
     return tuple(chain.from_iterable(_epsilon_runs(p, js)))
 
 

@@ -178,3 +178,35 @@ def int_power_coefficients(digits: tuple[int, ...], p: int, q: int, k_max: int) 
                 nxt[i + j] = nxt.get(i + j, 0) + ci * cj
         acc = nxt
     return [acc.get(k, 0) for k in range(k_max + 1)]
+
+
+def nk_terms(q: int, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every term of N_k as (exponents (m_0, ..., m_{k-1}), coefficient),
+    sorted by (m_{k-1}, ..., m_1).
+
+    A term is a partition of k into at most q parts, each below k: part i
+    taken m_i times, m_0 = q minus the number of parts, and coefficient
+    q!/(m_0! ... m_{k-1}!) from factorials.  Partitions are listed with
+    their parts in non-increasing order, largest part first.
+    """
+
+    def partitions(n: int, largest: int, count: int):
+        if n == 0:
+            yield ()
+            return
+        for part in range(min(n, largest), 0, -1):
+            if part * count >= n:
+                for rest in partitions(n - part, part, count - 1):
+                    yield (part, *rest)
+
+    terms = []
+    for parts in partitions(k, k - 1, q):
+        exponents = [0] * k
+        exponents[0] = q - len(parts)
+        for part in parts:
+            exponents[part] += 1
+        coefficient = math.factorial(q)
+        for m in exponents:
+            coefficient //= math.factorial(m)
+        terms.append((tuple(exponents), coefficient))
+    return sorted(terms, key=lambda term: term[0][:0:-1])

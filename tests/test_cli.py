@@ -43,7 +43,7 @@ from padicroots.cli import (
     main,
 )
 from padicroots.congruence import _MR_PROVEN_BOUND
-from padicroots.multinomial import nk_sequence, nk_terms
+from padicroots.multinomial import nk_sequence
 from padicroots.representation import (
     TABLE_BOUND,
     derived_epsilon_set,
@@ -809,8 +809,8 @@ def test_expand_with_no_terms_says_none(capsys):
 )
 def test_plain_expand_terms_match_the_term_tuples(capsys, q, k):
     # the term lines come from the walk's exponent text; render them again
-    # from nk_terms' tuples and NkTerm.evaluate, at the benchmark's shapes
-    # and the small ones
+    # from the terms listed by the partitions of k, at the benchmark's
+    # shapes and the small ones
     p = 13
     digits = [(7 * i + 3) % p for i in range(k + 1)]
     code, out = run_cli(
@@ -822,9 +822,9 @@ def test_plain_expand_terms_match_the_term_tuples(capsys, q, k):
     head = lines.index(f"N_{k} terms (m_0,...,m_{k - 1}):")
     tail = lines.index(f"N_{k} = {nk_sequence(q, digits, k)[k - 1]}")
     want = [
-        "  (" + ",".join(map(str, t.exponents)) + ")"
-        + f"  coeff {t.coefficient}  value {t.evaluate(digits)}"
-        for t in nk_terms(q, k)
+        "  (" + ",".join(map(str, e)) + ")"
+        + f"  coeff {c}  value {c * math.prod(map(pow, digits, e))}"
+        for e, c in bf.nk_terms(q, k)
     ]
     assert lines[head + 1 : tail] == (want or ["  (none)"])
 
@@ -840,8 +840,8 @@ def test_plain_expand_terms_match_the_term_tuples(capsys, q, k):
 @example(p=5, q=3, k=1, digits=[4])  # neither has N_1
 def test_structured_expand_is_stdlib_json_of_dict_terms(p, q, k, digits):
     # the terms are written without a dict per term; the text must be what
-    # json.dumps writes for those dicts, with the values and N_k taken from
-    # NkTerm.evaluate and the generating polynomial
+    # json.dumps writes for those dicts, with the terms listed by the
+    # partitions of k and N_k taken from the generating polynomial
     digits = [d % p for d in digits]
     argv = ["expand", "--p", str(p), "--q", str(q), "--k", str(k)]
     argv += ["--digits", ",".join(map(str, digits)), "--format", "structured"]
@@ -851,11 +851,11 @@ def test_structured_expand_is_stdlib_json_of_dict_terms(p, q, k, digits):
     padded = digits + [0] * (k + 1 - len(digits))
     terms = [
         {
-            "exponents": list(t.exponents),
-            "coefficient": t.coefficient,
-            "value": t.evaluate(padded),
+            "exponents": list(e),
+            "coefficient": c,
+            "value": c * math.prod(map(pow, padded, e)),
         }
-        for t in nk_terms(q, k)
+        for e, c in bf.nk_terms(q, k)
     ]
     nk = nk_sequence(q, padded, k)[k - 1]
     lead = q * padded[0] ** (q - 1) * padded[k]

@@ -3,7 +3,8 @@
 The central object is the correction term N_k in the raw base-p
 expansion of (d0 + d1 p + ...)^q: coefficient k equals
 q*d0^(q-1)*dk + N_k before carries.  The oracle recomputes those raw
-coefficients by polynomial convolution over plain integers.
+coefficients by polynomial convolution over plain integers, and lists
+the terms of N_k from the partitions of k (bruteforce.nk_terms).
 """
 
 from __future__ import annotations
@@ -20,50 +21,23 @@ import bruteforce as bf
 from padicroots import (
     binom_valuation_kummer,
     compute_Nk,
-    multinomial_coeff,
-    nk_dichotomy,
     nk_sequence,
-    nk_terms,
     ntilde_pk,
 )
 from padicroots.multinomial import nk_term_count, nk_walk
 
 
 # ---------------------------------------------------------------------------
-# multinomial coefficients
-
-
-def test_multinomial_pinned():
-    assert multinomial_coeff(3, [3]) == 1
-    assert multinomial_coeff(5, [2, 2, 1]) == 30
-    assert multinomial_coeff(4, [1, 1, 1, 1]) == 24
-
-
-def test_multinomial_matches_factorials():
-    for parts in ([2, 3], [1, 2, 3], [4, 0, 1], [0, 0, 5], [2, 2, 2, 1]):
-        q = sum(parts)
-        direct = math.factorial(q)
-        for m in parts:
-            direct //= math.factorial(m)
-        assert multinomial_coeff(q, parts) == direct
-
-
-def test_multinomial_prime_middle_divisible():
-    # intermediate binomials of a prime row all carry the prime
-    for p in (3, 5, 7, 11, 13):
-        for m in range(1, p):
-            assert multinomial_coeff(p, [m, p - m]) % p == 0
-
-
-def test_multinomial_rejects_bad_parts():
-    with pytest.raises(ValueError):
-        multinomial_coeff(4, [2, 1])
-    with pytest.raises(ValueError):
-        multinomial_coeff(3, [4, -1])
-
-
-# ---------------------------------------------------------------------------
 # N_k terms and values
+
+
+def oracle_terms(q, k, digits):
+    """bf.nk_terms in nk_walk's form: (exponent text, coefficient, value
+    at the digits)."""
+    return [
+        (",".join(map(str, e)), c, c * math.prod(map(pow, digits, e)))
+        for e, c in bf.nk_terms(q, k)
+    ]
 
 
 def test_nk_terms_constraints_hold():
@@ -71,12 +45,14 @@ def test_nk_terms_constraints_hold():
     shapes = [(q, k) for q in range(2, 8) for k in range(1, 12)]
     shapes += [(7, 25), (6, 22), (5, 25), (7, 18), (4, 25), (3, 25)]
     for q, k in shapes:
-        for term in nk_terms(q, k):
-            assert sum(term.exponents) == q
-            assert sum(i * m for i, m in enumerate(term.exponents)) == k
-            assert term.coefficient == multinomial_coeff(q, term.exponents)
+        walk = nk_walk(q, k, [1] * k)
+        assert walk == oracle_terms(q, k, [1] * k)
+        for text, _, _ in walk:
+            exponents = tuple(map(int, text.split(",")))
+            assert sum(exponents) == q
+            assert sum(i * m for i, m in enumerate(exponents)) == k
             # the leading term q*d0^(q-1)*dk is excluded by construction
-            assert len(term.exponents) <= k
+            assert len(exponents) == k
 
 
 def test_nk_terms_are_every_tuple_in_reverse_lexicographic_order():
@@ -91,12 +67,17 @@ def test_nk_terms_are_every_tuple_in_reverse_lexicographic_order():
                 ),
                 key=lambda t: t[:0:-1],
             )
-            assert [term.exponents for term in nk_terms(q, k)] == want
+            assert [e for e, _ in bf.nk_terms(q, k)] == want
+            walk = nk_walk(q, k, [1] * k)
+            assert [tuple(map(int, e.split(","))) for e, _, _ in walk] == want
 
 
 def test_nk_terms_at_large_k():
     # q = 2: the pairs 900 = a + b with 1 <= a <= b
-    assert len(nk_terms(2, 900)) == 450
+    digits = [(7 * i + 3) % 13 for i in range(900)]
+    walk = nk_walk(2, 900, digits)
+    assert len(walk) == 450
+    assert walk == oracle_terms(2, 900, digits)
 
 
 @given(
@@ -106,17 +87,13 @@ def test_nk_terms_at_large_k():
 )
 @settings(max_examples=60, deadline=None)
 def test_walk_values_are_the_terms_evaluated(q, k, data):
-    # the values built along the walk, in the order nk_terms lists the
-    # terms, against evaluating each term afresh and the power route
+    # the values built along the walk against the terms listed from the
+    # partitions of k and evaluated afresh, and against the power route
     digits = data.draw(
         st.lists(st.integers(min_value=0, max_value=12), min_size=k, max_size=k)
     )
     walk = nk_walk(q, k, digits)
-    fresh = [
-        (",".join(map(str, t.exponents)), t.coefficient, t.evaluate(digits))
-        for t in nk_terms(q, k)
-    ]
-    assert walk == fresh
+    assert walk == oracle_terms(q, k, digits)
     assert sum(value for _, _, value in walk) == nk_sequence(q, digits + [0], k)[k - 1]
 
 
@@ -135,7 +112,8 @@ def test_walk_leaves_no_reference_cycle():
 def test_term_count_is_the_number_of_terms():
     for q in range(1, 9):
         for k in range(1, 21):
-            n = len(nk_terms(q, k))
+            n = len(bf.nk_terms(q, k))
+            assert len(nk_walk(q, k, [1] * k)) == n
             assert nk_term_count(q, k, 10**9) == n
             assert nk_term_count(q, k, n) == n
             # at a cap below the count it stops at some number above the cap
@@ -149,7 +127,8 @@ def test_term_count_is_the_number_of_terms():
 
 
 def test_nk_is_zero_at_k1():
-    assert nk_terms(5, 1) == []
+    assert bf.nk_terms(5, 1) == []
+    assert nk_walk(5, 1, [3]) == []
     assert compute_Nk(7, (4, 2), 1) == 0
 
 
@@ -234,9 +213,9 @@ def test_nk_sequence_agrees_with_enumeration(p, q, data):
 
 
 def test_dichotomy_pinned():
-    assert nk_dichotomy(3, 2, (1, 2)) == (True, False)  # N_2 = 12
-    assert nk_dichotomy(3, 3, (1, 1, 1)) == (False, True)  # N_3 = 7
-    assert nk_dichotomy(5, 1, (1,)) == (True, False)  # N_1 = 0
+    assert nk_sequence(3, (1, 2), 2)[1] % 3 == 0  # N_2 = 12, 3 does not divide 2
+    assert nk_sequence(3, (1, 1, 1), 3)[2] % 3 != 0  # N_3 = 7, 3 divides 3
+    assert nk_sequence(5, (1,), 1)[0] % 5 == 0  # N_1 = 0, 5 does not divide 1
 
 
 def test_dichotomy_iff_nonzero_digits():
@@ -249,8 +228,8 @@ def test_dichotomy_iff_nonzero_digits():
             length = rng.randrange(2, 9)
             digits = tuple(rng.randrange(1, p) for _ in range(length))
             for k in range(1, length):
-                div_nk, div_k = nk_dichotomy(p, k, digits)
-                assert div_nk == (not div_k), (p, k, digits)
+                div_nk = nk_sequence(p, digits, k)[k - 1] % p == 0
+                assert div_nk == (k % p != 0), (p, k, digits)
 
 
 def test_dichotomy_can_fail_on_zero_digits():
@@ -260,8 +239,8 @@ def test_dichotomy_can_fail_on_zero_digits():
     p = 3
     for digits in ((1, 0, 0, 1), (2, 0, 1), (1, 0, 2, 0, 1)):
         for k in range(1, len(digits)):
-            div_nk, div_k = nk_dichotomy(p, k, digits)
-            if div_nk == div_k:
+            div_nk = nk_sequence(p, digits, k)[k - 1] % p == 0
+            if div_nk == (k % p == 0):
                 found = True
     assert found
 
@@ -274,6 +253,13 @@ def test_kummer_pinned():
     assert binom_valuation_kummer(3, 3, 2) == 2  # C(6,3) = 20 = 4*5
     assert binom_valuation_kummer(2, 2, 2) == 1  # C(4,2) = 6
     assert binom_valuation_kummer(0, 9, 5) == 0
+
+
+def test_kummer_refuses_a_base_below_2():
+    # the carry loop never ends in base 1 or below
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"base must be at least 2, got {p}"):
+            binom_valuation_kummer(1, 1, p)
 
 
 def test_kummer_prime_row():
@@ -321,3 +307,9 @@ def test_ntilde_independent_of_last_digit():
 def test_ntilde_requires_enough_digits():
     with pytest.raises(ValueError):
         ntilde_pk(3, (1,), 1)
+
+
+def test_nk_sequence_refuses_an_empty_digit_list():
+    for k_max in (0, 1, 3):
+        with pytest.raises(ValueError, match="digit list is empty"):
+            nk_sequence(3, [], k_max)

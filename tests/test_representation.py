@@ -28,6 +28,7 @@ from padicroots import (
     lift_root,
     verify_c1,
 )
+from padicroots.congruence import LIST_CAP
 from padicroots.representation import _j_row, _second_digits
 
 # frozen from the literal big-integer scan of i^p = i + jp mod p^2
@@ -159,10 +160,10 @@ def derived_epsilon_set_by_set(p, js):
 
 
 def test_derived_epsilon_set_matches_set_construction():
-    # every odd prime below 500, and the largest below 2000 (all of them
-    # would build 132 million entries)
+    # every odd prime below 500, and 1669, the largest whose set is within
+    # LIST_CAP (all of them would build 132 million entries)
     table = j_no_solution_table(499)
-    table[1999] = j_no_solution_table(1999)[1999]
+    table[1669] = j_no_solution_table(1669)[1669]
     for p, js in table.items():
         want = derived_epsilon_set_by_set(p, js)
         assert derived_epsilon_set(p) == want
@@ -172,6 +173,14 @@ def test_derived_epsilon_set_matches_set_construction():
         assert derived_epsilon_set(p) == (1,)
     with pytest.raises(ValueError):
         derived_epsilon_set(10_007)
+    # more than LIST_CAP entries, counted from the row before any is built
+    assert len(derived_epsilon_set(1009)) == 346_753
+    for p, n in ((1657, 1_001_881), (2003, 1_499_499), (9973, 37_245_421)):
+        with pytest.raises(ValueError) as err:
+            derived_epsilon_set(p)
+        assert str(err.value) == (
+            f"derived_epsilon_set({p}) has {n} entries, more than {LIST_CAP}"
+        )
 
 
 # ---------------------------------------------------------------------------
