@@ -14,7 +14,6 @@ _SOURCES = {
     "PrecisionError": "padic_core",
     "parse_value": "padic_core",
     "CongruenceSolution": "congruence",
-    "IndexValue": "congruence",
     "euler_phi": "congruence",
     "find_primitive_root": "congruence",
     "index": "congruence",

@@ -245,13 +245,7 @@ def _least_solution(a: int, b: int, n: int) -> int | None:
     return b // g * pow(a // g, -1, n1) % n1
 
 
-class IndexValue(namedtuple("IndexValue", "base_r value modulus_phi")):
-    """Discrete logarithm of a to the base of a primitive root r mod m."""
-
-    __slots__ = ()
-
-
-def index(r: int, a: int, m: int) -> IndexValue:
+def index(r: int, a: int, m: int) -> int:
     """Index (discrete log) of a base r mod m: the x in [0, phi(m)) with
     r^x = a.  With g the cached generator, x = log_g(a) / log_g(r) mod
     phi(m), and r is a primitive root exactly when log_g(r) is prime to
@@ -268,7 +262,7 @@ def index(r: int, a: int, m: int) -> IndexValue:
         or math.gcd(log_r := group.log(r), group.phi) != 1
     ):
         raise ValueError(f"{r} is not a primitive root mod {m}")
-    return IndexValue(r, _least_solution(log_r, group.log(a), group.phi), group.phi)
+    return _least_solution(log_r, group.log(a), group.phi)
 
 
 class CongruenceSolution(namedtuple("CongruenceSolution", "representatives modulus")):

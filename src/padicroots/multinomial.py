@@ -22,6 +22,8 @@ text that expand prints, so no term holds a tuple of k ints.
 
 import math
 
+from .congruence import is_prime
+
 
 def nk_walk(q: int, k: int, digits) -> list[tuple[str, int, int]]:
     """Every term of N_k as (exponents, coefficient, value), in
@@ -159,10 +161,13 @@ def nk_sequence(q: int, digits, k_max: int) -> list[int]:
 
 
 def binom_valuation_kummer(m: int, n: int, p: int) -> int:
-    """Exponent of p in binomial(m+n, m): the number of carries when adding
-    m and n in base p."""
+    """Exponent of the prime p in binomial(m+n, m): the number of carries
+    when adding m and n in base p.  The count is the valuation only for a
+    prime base, so any other p is refused."""
     if p < 2:
         raise ValueError(f"valuation base must be at least 2, got {p}")
+    if not is_prime(p):
+        raise ValueError(f"Kummer's theorem needs a prime base, got {p}")
     if m < 0 or n < 0:
         raise ValueError("arguments must be non-negative")
     carries = 0
@@ -184,6 +189,8 @@ def ntilde_pk(p: int, digits, k: int) -> int:
     The value does not depend on d_{pk-1}, so the digit vector may stop at
     position pk-2; a missing d_{pk-1} is treated as 0.
     """
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     digits = list(digits)
     if k < 1:
         raise ValueError("k must be at least 1")

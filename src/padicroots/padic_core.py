@@ -49,8 +49,8 @@ def _to_digits(x: int, p: int, k: int, out: list, powers: dict) -> None:
 
 
 def _from_digits(digits, p: int, powers: dict) -> int:
-    """sum(d * p**i) over the digits, least significant first (digits
-    may lie outside [0, p-1]).  powers caches p**h by h."""
+    """sum(d * p**i) over the digits, least significant first.  powers
+    caches p**h by h."""
     k = len(digits)
     if k <= _LEAF:
         value = 0
@@ -202,25 +202,6 @@ class PAdic:
     def from_int(cls, n: int, p: int, precision: int) -> "PAdic":
         return cls.from_rational(n, 1, p, precision)
 
-    @classmethod
-    def from_digits(cls, p: int, gamma: int, digits) -> "PAdic":
-        """Canonicalize a digit vector whose entries may fall outside
-        [0, p-1]: carries are propagated, leading zero digits move into
-        gamma.  Normalizing a canonical vector returns it unchanged, so the
-        map is idempotent.  A vector whose known digits all cancel is the
-        zero known modulo p**(gamma + len(digits)).
-        """
-        digits = [int(d) for d in digits]
-        if not digits:
-            raise ValueError("empty digit vector")
-        _require_prime(p)
-        k = len(digits)
-        value = _from_digits(digits, p, {}) % p**k
-        if value == 0:
-            return cls(p, gamma, 0, k)
-        v = int_valuation(value, p)
-        return cls(p, gamma + v, value // p**v, k - v)
-
     # ------------------------------------------------------------------
     # views
 
@@ -246,18 +227,6 @@ class PAdic:
         """The value with gamma stripped: same digits, valuation 0."""
         self._require_nonzero("unit part of")
         return PAdic(self.p, 0, self.unit, self.precision)
-
-    def valuation(self) -> int:
-        self._require_nonzero("valuation of")
-        return self.gamma
-
-    def norm(self) -> "Fraction":
-        """The p-adic absolute value p**(-gamma); norm of zero is 0."""
-        from fractions import Fraction
-
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.p) ** (-self.gamma)
 
     # ------------------------------------------------------------------
     # arithmetic

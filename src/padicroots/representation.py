@@ -128,7 +128,7 @@ def classify(x: PAdic, q: int) -> Decomposition:
     else:
         form = FORM_ETA
         eta = find_nonresidue_unit(p, q, n_digits)
-        j = index(eta.unit, x.unit % p, p).value % q
+        j = index(eta.unit, x.unit % p, p) % q
         eps = eta.pow_nat(j) if j else PAdic.one(p, n_digits)
         eps_int = 1 if j == 0 else None
     i = x.gamma % q

@@ -88,10 +88,10 @@ def test_primitive_root_has_full_order():
 
 
 def test_index_pinned_values():
-    assert index(3, 2, 7).value == 2  # 3^2 = 9 = 2 mod 7
-    assert index(3, 6, 7).value == 3  # 3^3 = 27 = 6 mod 7
-    assert index(3, 1, 7).value == 0
-    assert index(2, 7, 9).value == 4  # 2^4 = 16 = 7 mod 9
+    assert index(3, 2, 7) == 2  # 3^2 = 9 = 2 mod 7
+    assert index(3, 6, 7) == 3  # 3^3 = 27 = 6 mod 7
+    assert index(3, 1, 7) == 0
+    assert index(2, 7, 9) == 4  # 2^4 = 16 = 7 mod 9
 
 
 def test_index_rejects_non_unit_and_non_root():
@@ -108,9 +108,9 @@ def test_index_value_range():
         for a in range(1, m):
             if math.gcd(a, m) != 1:
                 continue
-            iv = index(r, a, m)
-            assert 0 <= iv.value < phi
-            assert pow(r, iv.value, m) == a
+            x = index(r, a, m)
+            assert 0 <= x < phi
+            assert pow(r, x, m) == a
 
 
 def test_index_uses_giant_steps_above_threshold():
@@ -120,8 +120,7 @@ def test_index_uses_giant_steps_above_threshold():
         for a in (2, 3, find_primitive_root(m)):
             if math.gcd(a, m) != 1:
                 continue
-            iv = index(r, a, m)
-            assert pow(r, iv.value, m) == a % m
+            assert pow(r, index(r, a, m), m) == a % m
 
 
 def test_group_structure_is_worked_out_once_per_modulus(monkeypatch):
@@ -216,10 +215,10 @@ def test_index_laws(m, data):
     b = data.draw(st.sampled_from(units))
     k = data.draw(st.integers(min_value=0, max_value=20))
     assert (
-        index(r, a * b % m, m).value
-        == (index(r, a, m).value + index(r, b, m).value) % phi
+        index(r, a * b % m, m)
+        == (index(r, a, m) + index(r, b, m)) % phi
     )
-    assert index(r, pow(a, k, m), m).value == k * index(r, a, m).value % phi
+    assert index(r, pow(a, k, m), m) == k * index(r, a, m) % phi
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,15 @@ def test_kummer_refuses_a_base_below_2():
             binom_valuation_kummer(1, 1, p)
 
 
+def test_kummer_refuses_a_composite_base():
+    # carries count the valuation only in a prime base: C(4,2) = 6 has
+    # 4-adic valuation 0 but one carry, C(10,5) = 252 = 36*7 valuation 2
+    # but one carry
+    for m, n, p in ((2, 2, 4), (5, 5, 6)):
+        with pytest.raises(ValueError, match=f"needs a prime base, got {p}$"):
+            binom_valuation_kummer(m, n, p)
+
+
 def test_kummer_prime_row():
     for p in (3, 5, 7, 11):
         for k in range(1, p):
@@ -294,7 +303,8 @@ def test_ntilde_pinned():
 
 
 def test_ntilde_independent_of_last_digit():
-    for p in (3, 5):
+    # a polynomial identity: a composite p holds it too
+    for p in (3, 4, 5, 6, 9):
         for k in (1, 2):
             base = tuple(((i * 3) % (p - 1)) + 1 for i in range(p * k - 1))
             # base itself stops at position p*k - 2
@@ -307,6 +317,12 @@ def test_ntilde_independent_of_last_digit():
 def test_ntilde_requires_enough_digits():
     with pytest.raises(ValueError):
         ntilde_pk(3, (1,), 1)
+
+
+def test_ntilde_refuses_p_below_2():
+    for p in (1, 0):
+        with pytest.raises(ValueError, match=f"p must be at least 2, got {p}$"):
+            ntilde_pk(p, [1], 1)
 
 
 def test_nk_sequence_refuses_an_empty_digit_list():

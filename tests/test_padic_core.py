@@ -73,7 +73,7 @@ def test_from_rational_rejects_bad_input():
         ("int_valuation(5, 1)", "valuation base must be at least 2, got 1"),
         ("PAdic.from_int(3, 1, 5)", "p must be prime, got 1"),
         ("parse_value('7/2', 1, 4)", "p must be prime, got 1"),
-        ("PAdic.from_digits(1, 0, [1, 2])", "p must be prime, got 1"),
+        ("PAdic(1, 0, 1, 2)", "p must be prime, got 1"),
         ("PAdic.from_int(3, 0, 5)", "p must be prime, got 0"),
         ("PAdic.from_unit(0, 2, 3, 5)", "p must be prime, got 0"),
     ],
@@ -96,28 +96,9 @@ def test_base_below_two_is_refused(call, message):
     assert (done.returncode, done.stdout, done.stderr) == (0, message + "\n", "")
 
 
-def test_from_digits_carry_normalization():
-    # 7 + 4*5 = 27 = 2 + 0*5 + 1*25, truncated to the two known digits
-    x = PAdic.from_digits(5, 0, (7, 4))
-    assert (x.gamma, x.digits) == (0, (2, 0))
-    again = PAdic.from_digits(5, x.gamma, x.digits)
-    assert (again.gamma, again.digits, again.precision) == (0, (2, 0), 2)
-
-
-def test_from_digits_leading_zeros_move_to_gamma():
-    x = PAdic.from_digits(3, 1, (0, 0, 2, 1))
-    assert (x.gamma, x.digits) == (3, (2, 1))
-
-
-def test_from_digits_total_cancellation_is_zero():
-    assert PAdic.from_digits(3, 0, (0, 0, 0)).is_zero
-
-
 def test_zero_shape():
     z = PAdic.zero(5, 4)
-    assert z.is_zero and z.norm() == Fraction(0)
-    with pytest.raises(ValueError):
-        z.valuation()
+    assert z.is_zero
     with pytest.raises(ValueError):
         z.unit_part()
 
@@ -132,8 +113,8 @@ def test_value_is_immutable_and_hashable():
     assert (x.p, x.gamma, x.unit, x.precision) == (5, 0, 27, 4)
     # equal values built by different routes hash alike
     groups = [
-        [x, parse_value("0;2,0,1", 5, 4), PAdic.from_digits(5, 0, (2, 0, 1, 0))],
-        [PAdic.zero(5, 4), PAdic.from_digits(5, 0, (0, 0, 0, 0)), x.sub(27)],
+        [x, parse_value("0;2,0,1", 5, 4), PAdic.from_unit(5, 0, 27 + 5**4, 4)],
+        [PAdic.zero(5, 4), PAdic(5, 0, 0, 4), x.sub(27)],
     ]
     for group in groups:
         assert all(a == b and hash(a) == hash(b) for a in group for b in group)
@@ -216,10 +197,10 @@ def test_add_total_cancellation():
 
 
 def test_add_ultrametric_equality_case():
-    # |x| = 1, |y| = 7^-2: the sum keeps norm 1
+    # |x| = 1, |y| = 7^-2: the sum keeps norm 1, valuation 0
     x = PAdic.from_int(3, 7, 5)
     y = PAdic.from_int(49, 7, 5)
-    assert x.add(y).norm() == Fraction(1)
+    assert x.add(y).gamma == 0
 
 
 def test_inv_matches_rational():
@@ -255,7 +236,7 @@ def test_pow_of_p_scales_gamma():
 
 def test_pow_gains_derivative_valuation():
     # (1 + 3)^3 = 64; exponent divisible by p buys one extra digit
-    x = PAdic.from_digits(3, 0, (1, 1, 0, 0, 0))
+    x = PAdic.from_int(4, 3, 5)
     cube = x.pow_nat(3)
     assert cube.precision == 6
     assert cube == PAdic.from_int(64, 3, 6)
@@ -268,12 +249,6 @@ def test_pow_rejects_bad_exponent():
 
 # ---------------------------------------------------------------------------
 # views and comparisons
-
-
-def test_norm_and_valuation():
-    x = PAdic.from_int(50, 5, 3)
-    assert x.norm() == Fraction(1, 25)
-    assert x.valuation() == 2
 
 
 def test_unit_part_strips_gamma():
@@ -536,10 +511,12 @@ def test_ring_laws_to_precision(p, data):
 def test_ultrametric_inequality(p, data):
     x = data.draw(padics(p))
     y = data.draw(padics(p))
+    # |x + y| <= max(|x|, |y|) for the norm p^-gamma, with equality when
+    # |x| != |y|; a sum that cancels to its known digits is a zero
     s = x.add(y)
-    assert s.norm() <= max(x.norm(), y.norm())
-    if x.norm() != y.norm():
-        assert s.norm() == max(x.norm(), y.norm())
+    assert s.is_zero or s.gamma >= min(x.gamma, y.gamma)
+    if x.gamma != y.gamma:
+        assert s.gamma == min(x.gamma, y.gamma)
 
 
 @given(st.sampled_from(PRIMES), st.data())
@@ -547,7 +524,8 @@ def test_ultrametric_inequality(p, data):
 def test_norm_multiplicativity(p, data):
     x = data.draw(padics(p))
     y = data.draw(padics(p))
-    assert x.mul(y).norm() == x.norm() * y.norm()
+    # the norm p^-gamma is multiplicative: valuations add
+    assert x.mul(y).gamma == x.gamma + y.gamma
 
 
 @given(st.sampled_from([3, 5, 7]), st.data())

@@ -360,7 +360,7 @@ def reference_decomposition(x, q):
         y = lift_root(x.shift(-i), q, n)
         return ("coprime_plain", PAdic.one(p, n), i, y, 1, None, None)
     eta = find_nonresidue_unit(p, q, n)
-    j = index(eta.unit, x.unit % p, p).value % q
+    j = index(eta.unit, x.unit % p, p) % q
     eps = eta.pow_nat(j) if j else PAdic.one(p, n)
     y = lift_root(x.shift(-i).div(eps), q, n)
     return ("coprime_with_eta", eps, i, y, 1 if j == 0 else None, eta, j)

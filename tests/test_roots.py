@@ -8,12 +8,14 @@ congruences without touching the library's lifting code.
 from __future__ import annotations
 
 import ast
+import io
 import math
 import os
 import random
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,8 @@ from hypothesis import strategies as st
 import bruteforce as bf
 import padicroots
 import padicroots.congruence
+import padicroots.multinomial
+import padicroots.representation
 import padicroots.roots
 from padicroots import (
     LiftContradictionError,
@@ -86,6 +90,100 @@ def test_every_exported_function_has_a_caller():
     assert [n for n in functions if n not in called | imported | named] == []
 
 
+def test_every_public_method_and_field_has_a_reader():
+    # a public attribute of an exported class, namedtuple fields included,
+    # is read as an attribute in the package or by the acceptance gates, or
+    # named in README; one that is none of these is dead code
+    tests = Path(__file__).resolve().parent
+    package = Path(padicroots.__file__).resolve().parent
+    read = {
+        node.attr
+        for source in [*package.glob("*.py"), tests / "test_acceptance.py"]
+        for node in ast.walk(ast.parse(source.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    readme = (tests.parent / "README.md").read_text()
+    named = set(re.findall(r"`\.?([A-Za-z_]\w*)[`(]", readme))
+    unread = [
+        f"{name}.{attr}"
+        for name in padicroots._SOURCES
+        if isinstance(cls := getattr(padicroots, name), type)
+        and not issubclass(cls, BaseException)
+        for attr in [*vars(cls), *getattr(cls, "_fields", ())]
+        if not attr.startswith("_") and attr not in read | named
+    ]
+    assert unread == []
+
+
+def _leading_literal(text: str):
+    """The longest prefix of text that is a Python literal."""
+    for end in range(len(text), 0, -1):
+        try:
+            return ast.literal_eval(text[:end])
+        except (SyntaxError, ValueError):
+            continue
+    raise ValueError(f"no literal opens {text!r}")
+
+
+def test_readme_library_tour_values_hold():
+    # README's python block runs as written, and each expression line
+    # evaluates to the literal its trailing comment opens with
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    scope: dict = {}
+    checked = 0
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            got = eval(compile(ast.Expression(node.value), "README", "eval"), scope)
+            expected = _leading_literal(comments[node.end_lineno])
+            assert got == expected, ast.unparse(node)
+            checked += 1
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), scope)
+    assert checked == 10
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("factorize(0)", "factorize expects a positive integer"),
+        ("int_valuation(8, 1)", "valuation base must be at least 2, got 1"),
+        ("int_valuation(0, 5)", "valuation of 0 is undefined"),
+        ("euler_phi(0)", "euler_phi expects a positive integer"),
+        ("is_qth_residue(1, 2, 9)", "9 is not prime"),
+        ("is_qth_residue(1, 0, 5)", "exponent must be at least 1"),
+        ("nk_walk(0, 2, [1])", "exponent q must be at least 1"),
+        ("nk_walk(2, 0, [1])", "digit position k must be at least 1"),
+        ("compute_Nk(2, [1], 3)", "need at least 3 digits d0..d2"),
+        ("nk_sequence(0, [1], 2)", "exponent q must be at least 1"),
+        ("nk_sequence(2, [1, -1], 2)", "digits must be non-negative"),
+        ("binom_valuation_kummer(-1, 2, 3)", "arguments must be non-negative"),
+        ("ntilde_pk(3, [1, 1], 0)", "k must be at least 1"),
+        ("PAdic(5, 0, 1, 0)", "precision must be at least 1"),
+        ("PAdic(5, 0, 125, 3)", "unit residue out of range for the precision"),
+        ("PAdic(5, 0, 10, 3)", "unit part must have a nonzero first digit"),
+        ("PAdic.from_int(2, 5, 4).digits_to(0)", "need at least one digit"),
+        ("find_nonresidue_unit(9, 2)", "both p and q must be prime"),
+        ("lift_roots(PAdic.from_int(4, 5, 6), 2, 0)", "need at least one digit"),
+    ],
+)
+def test_library_refusals(call, message):
+    scope = {
+        **vars(padicroots.congruence),
+        **vars(padicroots.multinomial),
+        **vars(padicroots.representation),
+        **vars(padicroots.roots),
+    }
+    with pytest.raises(ValueError) as err:
+        eval(call, scope)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
 def test_bare_package_import_loads_no_submodule():
     probe = (
         "import sys, padicroots\n"
@@ -128,13 +226,6 @@ def test_bare_package_import_loads_no_submodule():
             lambda: padicroots.congruence._unit_group(7),
             "_UnitGroup(m=7, phi=6, g=3, "
             "digits=((6, 1, 1, 3, {1: 0, 3: 1, 2: 2}, 6),))",
-        ),
-        (
-            padicroots.IndexValue,
-            "base_r value modulus_phi",
-            {},
-            lambda: padicroots.index(3, 2, 7),
-            "IndexValue(base_r=3, value=2, modulus_phi=6)",
         ),
         (
             padicroots.CongruenceSolution,
