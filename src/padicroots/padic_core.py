@@ -7,12 +7,12 @@ p**precision; the digit vector is a view of that residue.  gamma (the
 valuation) is always exact, so the absolute error of a value is
 O(p**(gamma + precision)).
 
-Values are immutable: a PAdic refuses to set or delete any attribute,
-and copies and pickles are rebuilt through its checked constructor.  A
-zero is unit 0 known modulo p**(gamma + precision), gamma then being no
-valuation; arithmetic runs one formula for zeros and nonzeros alike, and
-a sum whose known digits all cancel is such a zero.  An int operand is
-exact and never narrows a result.
+A value offers products, quotients, powers, shifts and eq_mod; an int
+operand is exact and never narrows a result.  Values are immutable: a
+PAdic refuses to set or delete any attribute, and copies and pickles are
+rebuilt through its checked constructor.  A zero is unit 0 known modulo
+p**(gamma + precision), gamma then being no valuation; a product with a
+zero is such a zero, by the same formula as for nonzeros.
 """
 
 import sys
@@ -259,28 +259,6 @@ class PAdic:
             self.p, self.gamma + other.gamma, self.unit * other.unit % mod, n
         )
 
-    def add(self, other) -> "PAdic":
-        """Sum.  Both operands are known modulo some p**K; the result keeps
-        every digit below the smaller K.  If everything below K cancels the
-        result is the zero known modulo that p**K.
-        """
-        other = self._coerce(other)
-        g = min(self.gamma, other.gamma)
-        cap = min(self.gamma + self.precision, other.gamma + other.precision)
-        rel = cap - g
-        s = (self._scaled(g) + other._scaled(g)) % self.p**rel
-        if s == 0:
-            return PAdic(self.p, g, 0, rel)
-        v = int_valuation(s, self.p)
-        return PAdic(self.p, g + v, s // self.p**v, rel - v)
-
-    def neg(self) -> "PAdic":
-        mod = self.p**self.precision
-        return PAdic(self.p, self.gamma, -self.unit % mod, self.precision)
-
-    def sub(self, other) -> "PAdic":
-        return self.add(self._coerce(other).neg())
-
     def inv(self) -> "PAdic":
         """Multiplicative inverse, same relative precision."""
         if self.is_zero:
@@ -349,14 +327,7 @@ class PAdic:
 
     __mul__ = mul
     __rmul__ = mul
-    __add__ = add
-    __radd__ = add
-    __sub__ = sub
-    __neg__ = neg
     __pow__ = pow_nat
-
-    def __rsub__(self, other):
-        return self._coerce(other).sub(self)
 
 
 # the slots' own setters fill a new PAdic: its __setattr__ refuses all

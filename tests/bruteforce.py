@@ -125,18 +125,6 @@ def smallest_primitive_root(m: int) -> int | None:
     return None
 
 
-def carries_when_adding(m: int, n: int, p: int) -> int:
-    carries = 0
-    carry = 0
-    while m or n or carry:
-        s = m % p + n % p + carry
-        carry = 1 if s >= p else 0
-        carries += carry
-        m //= p
-        n //= p
-    return carries
-
-
 def comb_valuation(m: int, n: int, p: int) -> int:
     return int_valuation(math.comb(m + n, m), p)
 

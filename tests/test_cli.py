@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -359,6 +361,29 @@ def test_readme_command_line_examples_verbatim(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert out == "\n".join(want) + "\n", argv
+
+
+def test_snapshot_requests_outside_the_benchmark_print_pinned_bytes():
+    # tools/cli_snapshot.py's requests that no benchmark workload makes,
+    # less the slow ADMITTED_ANCHORS, written as the tool writes them: any
+    # change to what the command line prints to them changes the md5.
+    # expand's size refusal prints the int-string limit, so the requests
+    # run under the default one.
+    path = README.parent / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    argvs = [a for a in snapshot.fixed_requests() if " ".join(a) not in ADMITTED_ANCHORS]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        records = [snapshot.run(main, argv) for argv in argvs]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    data = (json.dumps(records, indent=1) + "\n").encode()
+    assert (len(records), hashlib.md5(data).hexdigest()) == (
+        787, "d23fcd84c4e03286825d7def578e63ae",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tests for the truncated-precision p-adic arithmetic core.
 
 Expected digit vectors are frozen from the long-division oracle in
-bruteforce.py; structural laws (ring axioms, ultrametric inequality)
-run as hypothesis properties over random values.
+bruteforce.py; structural laws (commutativity, multiplicative norm,
+inverses) run as hypothesis properties over random values.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def test_value_is_immutable_and_hashable():
     # equal values built by different routes hash alike
     groups = [
         [x, parse_value("0;2,0,1", 5, 4), PAdic.from_unit(5, 0, 27 + 5**4, 4)],
-        [PAdic.zero(5, 4), PAdic(5, 0, 0, 4), x.sub(27)],
+        [PAdic.zero(5, 4), PAdic(5, 0, 0, 4), x * 0],
     ]
     for group in groups:
         assert all(a == b and hash(a) == hash(b) for a in group for b in group)
@@ -170,37 +170,17 @@ def test_mul_mixed_primes_rejected():
 def test_operands_int_type_and_prime():
     x = PAdic.from_int(5, 7, 4)
     assert x * 2 == 2 * x == x.mul(PAdic.from_int(2, 7, 4))
-    assert x + 1 == 1 + x == PAdic.from_int(6, 7, 4)
     assert x.eq_mod(12, 1) and not x.eq_mod(12, 2)
     with pytest.raises(TypeError, match="^cannot combine PAdic with float$"):
         x * 1.5
     y = PAdic.from_int(5, 5, 4)
-    for op in (PAdic.mul, PAdic.add, PAdic.sub, PAdic.div, lambda a, b: a.eq_mod(b, 1)):
+    for op in (PAdic.mul, PAdic.div, lambda a, b: a.eq_mod(b, 1)):
         with pytest.raises(ValueError, match="^mixed primes 7 and 5$"):
             op(x, y)
     # the operands are checked before anything is computed: a zero over
     # another prime is refused as mixed, not as a zero divisor
     with pytest.raises(ValueError, match="^mixed primes 7 and 5$"):
         x.div(PAdic.zero(5, 4))
-
-
-def test_add_with_carry_into_gamma():
-    s = PAdic.from_int(3, 5, 16).add(PAdic.from_int(2, 5, 16))
-    assert (s.gamma, s.digits[0]) == (1, 1)
-    # one digit of cancellation costs one digit of precision
-    assert s.precision == 15
-
-
-def test_add_total_cancellation():
-    x = PAdic.from_rational(7, 3, 5, 6)
-    assert x.add(x.neg()).is_zero
-
-
-def test_add_ultrametric_equality_case():
-    # |x| = 1, |y| = 7^-2: the sum keeps norm 1, valuation 0
-    x = PAdic.from_int(3, 7, 5)
-    y = PAdic.from_int(49, 7, 5)
-    assert x.add(y).gamma == 0
 
 
 def test_inv_matches_rational():
@@ -490,33 +470,7 @@ def padics(p: int, precision: int = 8):
 def test_ring_laws_to_precision(p, data):
     x = data.draw(padics(p))
     y = data.draw(padics(p))
-    z = data.draw(padics(p))
-    k = 3  # compare low digits; cancellation may shrink guarantees above
-    lhs = x.mul(y.add(z))
-    rhs = x.mul(y).add(x.mul(z))
-    cap = min(lhs.gamma + lhs.precision, rhs.gamma + rhs.precision, k)
-    if not lhs.is_zero and not rhs.is_zero:
-        assert lhs.eq_mod(rhs, cap)
     assert x.mul(y) == y.mul(x)
-    a = x.add(y)
-    b = y.add(x)
-    assert a == b
-    # both operands carry 8 digits, so x - y is known mod p^(min gamma + 8)
-    assert (x - y + y).eq_mod(x, min(x.gamma, y.gamma) + 8)
-    assert 3 - x == -(x - 3)
-
-
-@given(st.sampled_from(PRIMES), st.data())
-@settings(max_examples=150, deadline=None)
-def test_ultrametric_inequality(p, data):
-    x = data.draw(padics(p))
-    y = data.draw(padics(p))
-    # |x + y| <= max(|x|, |y|) for the norm p^-gamma, with equality when
-    # |x| != |y|; a sum that cancels to its known digits is a zero
-    s = x.add(y)
-    assert s.is_zero or s.gamma >= min(x.gamma, y.gamma)
-    if x.gamma != y.gamma:
-        assert s.gamma == min(x.gamma, y.gamma)
 
 
 @given(st.sampled_from(PRIMES), st.data())
@@ -573,22 +527,12 @@ def stands_for(r: PAdic, value: Fraction) -> bool:
 
 @st.composite
 def operands(draw, p: int) -> PAdic:
-    """A random value, a zero, an exact cancellation x + (-x), or a near
-    cancellation: x plus a value that agrees with -x in j digits."""
+    """A random value, or a zero known modulo p**(g + n)."""
     n = draw(st.integers(1, 6))
     g = draw(st.integers(-4, 4))
-    u = draw(st.integers(1, p**n - 1).filter(lambda u: u % p))
-    x = PAdic(p, g, u, n)
-    kind = draw(st.sampled_from(["unit", "zero", "cancel", "near"]))
-    if kind == "unit":
-        return x
-    if kind == "zero":
-        return PAdic.zero(p, n)
-    if kind == "cancel":
-        return x + (-x)
-    j = draw(st.integers(1, 6))
-    t = draw(st.integers(0, p**4))
-    return x + PAdic.from_unit(p, g, -u + p**j * t, draw(st.integers(1, 8)))
+    if draw(st.booleans()):
+        return PAdic(p, g, 0, n)
+    return PAdic(p, g, draw(st.integers(1, p**n - 1).filter(lambda u: u % p)), n)
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.data())
@@ -607,15 +551,9 @@ def test_results_claim_only_what_their_operands_determine(p, data):
     reps = [(representative(x, wx), representative(y, wy)) for wx, wy in ws]
     P = Fraction(p)
     results = [
-        (x + y, lambda X, Y: X + Y),
-        (x - y, lambda X, Y: X - Y),
         (x * y, lambda X, Y: X * Y),
-        (-x, lambda X, Y: -X),
         (x.pow_nat(q), lambda X, Y: X**q),
         (x.shift(k), lambda X, Y: X * P**k),
-        (x + n, lambda X, Y: X + n),
-        (x - n, lambda X, Y: X - n),
-        (n - x, lambda X, Y: n - X),
         (x * n, lambda X, Y: X * n),
     ]
     if y.is_zero:
@@ -628,8 +566,7 @@ def test_results_claim_only_what_their_operands_determine(p, data):
     for r, exact in results:
         for X, Y in reps:
             assert stands_for(r, exact(X, Y)), (r, x, y, n, q, k)
-    # an int is exact: it narrows neither a sum nor a product
-    assert (x + n).gamma + (x + n).precision == x.gamma + x.precision
+    # an int is exact: it narrows no product
     assert (x * n).precision == x.precision
     for kk in range(-6, 13):
         for other, exact in ((y, lambda X, Y: Y), (n, lambda X, Y: Fraction(n))):
@@ -643,25 +580,10 @@ def test_results_claim_only_what_their_operands_determine(p, data):
 
 @pytest.mark.parametrize(
     "make, bound",
-    [
-        (
-            lambda: (PAdic.from_int(1, 5, 3) + PAdic.from_int(-1, 5, 3)).eq_mod(
-                PAdic.from_int(5**10, 5, 4), 10
-            ),
-            None,
-        ),
-        (lambda: PAdic.from_unit(5, -2, 1, 3) + PAdic.from_unit(5, -2, -1, 3), 1),
-        (lambda: PAdic.zero(5, 2) + PAdic.from_int(1, 5, 8), 2),
-        (lambda: PAdic.from_unit(5, -3, 1, 1) * PAdic.zero(5, 1), -2),
-    ],
-    ids=["eq-mod-cancelled-sum", "cancel-at-negative-gamma", "zero-plus-long", "tiny-times-zero"],
+    [(lambda: PAdic.from_unit(5, -3, 1, 1) * PAdic.zero(5, 1), -2)],
+    ids=["tiny-times-zero"],
 )
 def test_zero_operands_and_results_claim_what_is_known(make, bound):
-    # each value is known modulo 5^bound and no further; None: the
-    # comparison asks past what is known and must raise
-    if bound is None:
-        with pytest.raises(PrecisionError):
-            make()
-    else:
-        r = make()
-        assert r.gamma + r.precision == bound
+    # each value is known modulo 5^bound and no further
+    r = make()
+    assert r.gamma + r.precision == bound

@@ -92,26 +92,54 @@ def test_every_exported_function_has_a_caller():
 
 def test_every_public_method_and_field_has_a_reader():
     # a public attribute of an exported class, namedtuple fields included,
-    # is read as an attribute in the package or by the acceptance gates, or
-    # named in README; one that is none of these is dead code
+    # is read as an attribute in the package or by the acceptance gates
+    # outside the class's own body, or named in README, or read by a method
+    # of the class that is itself reached: a public attribute so read, a
+    # private method a reached method reads, or an object-protocol dunder.
+    # Operator dunders and their aliases (__mul__ = mul) reach nothing, so
+    # methods read only by each other are dead code.  Reads are matched by
+    # bare name: PAdic.add outlived this rule only because the gates call
+    # add on a set.
     tests = Path(__file__).resolve().parent
     package = Path(padicroots.__file__).resolve().parent
-    read = {
-        node.attr
+    trees = [
+        ast.parse(source.read_text())
         for source in [*package.glob("*.py"), tests / "test_acceptance.py"]
-        for node in ast.walk(ast.parse(source.read_text()))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    ]
     readme = (tests.parent / "README.md").read_text()
     named = set(re.findall(r"`\.?([A-Za-z_]\w*)[`(]", readme))
-    unread = [
-        f"{name}.{attr}"
-        for name in padicroots._SOURCES
-        if isinstance(cls := getattr(padicroots, name), type)
-        and not issubclass(cls, BaseException)
-        for attr in [*vars(cls), *getattr(cls, "_fields", ())]
-        if not attr.startswith("_") and attr not in read | named
-    ]
+    protocol = {
+        "__init__", "__eq__", "__hash__", "__reduce__",
+        "__str__", "__repr__", "__setattr__", "__delattr__",
+    }
+
+    def reads(nodes) -> set:
+        return {
+            node.attr
+            for top in nodes
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+
+    unread = []
+    for name in padicroots._SOURCES:
+        cls = getattr(padicroots, name)
+        if not isinstance(cls, type) or issubclass(cls, BaseException):
+            continue
+        body = next(
+            n for t in trees for n in t.body if isinstance(n, ast.ClassDef) and n.name == name
+        )
+        methods = {f.name: reads([f]) for f in body.body if isinstance(f, ast.FunctionDef)}
+        reached = named | reads(n for t in trees for n in t.body if n is not body)
+        live: set = set()
+        while grown := {m for m in methods if m in reached | protocol} - live:
+            live |= grown
+            reached |= set().union(*(methods[m] for m in grown))
+        unread += [
+            f"{name}.{attr}"
+            for attr in [*vars(cls), *getattr(cls, "_fields", ())]
+            if not attr.startswith("_") and attr not in reached
+        ]
     assert unread == []
 
 
@@ -377,7 +405,7 @@ def test_lift_square_roots_of_two_base7():
     rs = lift_roots(a, 2, 6)
     assert rs.observed_count == 2 == rs.expected_count
     assert {r.digits[0] for r in rs.roots} == {3, 4}
-    assert rs.roots[0].add(rs.roots[1]).is_zero  # the two roots are negatives
+    assert (rs.roots[0].unit + rs.roots[1].unit) % 7**6 == 0  # the two roots are negatives
     assert [r.unit for r in rs.roots] == bf.digit_bfs_roots(7, 2, 2, 6, 0)
 
 
@@ -471,7 +499,7 @@ def test_solve_chain_sixth_root():
     verdict, rs = solve(PAdic.from_int(64, 3, 10), 6, 5)
     assert verdict.solvable and verdict.case_used == "general_chain"
     two = PAdic.from_int(2, 3, 5)
-    minus_two = two.neg()
+    minus_two = PAdic.from_int(-2, 3, 5)
     assert any(r.eq_mod(two, 5) for r in rs.roots)
     assert any(r.eq_mod(minus_two, 5) for r in rs.roots)
     assert rs.observed_count == 2
@@ -497,7 +525,7 @@ def test_solve_chain_fourth_roots_of_sixteen():
     two = PAdic.from_int(2, 2, 5)
     assert rs.observed_count == 2
     assert any(r.eq_mod(two, 6) for r in rs.roots)
-    assert any(r.eq_mod(two.neg(), 6) for r in rs.roots)
+    assert any(r.eq_mod(PAdic.from_int(-2, 2, 5), 6) for r in rs.roots)
 
 
 def test_solve_rejects_zero_and_tiny_exponent():

@@ -41,7 +41,8 @@ bytes.  The requests are:
 --src picks the directory padicroots is imported from (default: this
 checkout's src), so one checkout's requests can run against another's
 program.  It prints the record count and the md5 of the file it wrote,
-so two snapshots compare by one line.
+so two snapshots compare by one line.  tests/test_cli.py pins the md5 of
+the requests after the workloads', less ADMITTED_ANCHORS.
 """
 
 import argparse
@@ -70,8 +71,12 @@ def both_forms(argv: list[str]) -> list[list[str]]:
 
 
 def requests() -> list[list[str]]:
-    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
-    from anchors import ADMITTED_ANCHORS
+    return workload_requests() + fixed_requests()
+
+
+def workload_requests() -> list[list[str]]:
+    """The benchmark workloads' warm-up and regular requests at SEEDS."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
     out = []
@@ -80,6 +85,15 @@ def requests() -> list[list[str]]:
             w = build(seed)
             for argv in w.warmup + w.requests:
                 out += both_forms(argv)
+    return out
+
+
+def fixed_requests() -> list[list[str]]:
+    """Every other request, ADMITTED_ANCHORS last."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from anchors import ADMITTED_ANCHORS
+
+    out = []
     for line in (ROOT / "README.md").read_text().splitlines():
         if line.startswith("$ padicroots "):
             out += both_forms(shlex.split(line)[2:])
